@@ -1,87 +1,27 @@
-# Development targets for bgpbench. `make check` is the pre-merge gate:
-# build, formatting, vet, the project's own static analyzers (bgplint),
-# race-test the concurrent control-plane packages, run the
-# fault-injection conformance gate under the race detector, then the
-# full test suite.
+# Development targets for bgpbench. The pre-merge gate and its steps are
+# defined once, in scripts/ci.sh; `make check` runs all of it and each
+# step is also a target (`make lint`, `make stress`, ...).
 
 GO ?= go
 GOFMT ?= gofmt
+export GO GOFMT
 
-.PHONY: all build fmt vet lint lint-allows test race conformance check bench bench-smoke
+STEPS := build fmt vet lint race conformance stress bench-smoke benchmark test
+
+.PHONY: all check lint-allows bench $(STEPS)
 
 all: check
 
-build:
-	$(GO) build ./...
+check:
+	sh scripts/ci.sh
 
-# Fail (with the offending file list) if any file is not gofmt-clean.
-fmt:
-	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-# go vet twice: the full default suite over everything, then an explicit
-# pass pinning the two checks the concurrency and counter code leans on
-# hardest (copied locks, discarded sync/atomic results) so they stay on
-# even if the default set ever changes.
-vet:
-	$(GO) vet ./...
-	$(GO) vet -copylocks -unusedresult ./...
-
-# Project-invariant static analysis (internal/analysis, cmd/bgplint):
-# deterministic clocks, pooled-buffer ownership, attribute-interning
-# immutability, router-mutex lock discipline, dropped protocol errors,
-# plus the flow-sensitive refcount/ownership/read-purity analyzers.
-# Runs against the audited-findings ledger (lint/baseline.json): new or
-# stale findings fail, audited ones stay visible. The -cache directory
-# makes unchanged re-runs instant; -budget keeps a cold run honest.
-lint:
-	$(GO) run ./cmd/bgplint -cache .cache/bgplint -baseline lint/baseline.json -budget 30s ./...
+$(STEPS):
+	sh scripts/ci.sh $@
 
 # Regenerate the suppression inventory embedded in the docs from the
 # //bgplint:allow directives in the source.
 lint-allows:
 	$(GO) run ./cmd/bgplint -allows docs/lint-allows.md -baseline lint/baseline.json ./...
-
-# The sharded router, the session layer, and the FIB's lock-free
-# snapshot read path are the concurrency-heavy code; run them under the
-# race detector every time (the fib package carries the
-# lookup-under-churn tests, IPv4 and IPv6).
-race:
-	$(GO) test -race ./internal/core/... ./internal/session/... ./internal/fib/...
-
-# Conformance gate: one representative scenario under the flap-reset
-# fault profile, N=1 vs N=4 decision shards, plus the replay-determinism
-# check, the many-peer update-group equivalence gate (12 receivers in
-# 4 policy groups, grouped vs ungrouped digests), and the dual-stack
-# gate (v4/v6/dual digest matrix with IPv6 NLRI end-to-end) — all under
-# the race detector (the netem layer, the reconnecting speakers, and
-# the sharded router interleave heavily here).
-conformance:
-	BGPBENCH_CONFORMANCE_GATE=1 $(GO) test -race \
-		-run 'TestConformanceGate|TestConformanceManyPeerGate|TestConformanceReplayDeterminism|TestConformanceDualStackGate' ./internal/bench/
-
-# Hot-path microbenchmark smoke: run the dispatch/process benchmarks for
-# one iteration so they compile and execute on every gate (real numbers
-# need -benchtime well above 1x). The 100k-prefix group-rebuild variant
-# is the large-table smoke: one full chunked catch-up over a 100k
-# Loc-RIB through the marshal cache and slab arena.
-bench-smoke:
-	$(GO) test -run='^$$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
-		-benchtime=1x ./internal/core/
-	$(GO) test -run='^$$' -bench 'BenchmarkGroupRebuild/prefixes=100000' \
-		-benchtime=1x ./internal/core/
-	BGPBENCH_LOOKUP_N=50000 $(GO) test -run='^$$' \
-		-bench 'BenchmarkLookup$$|BenchmarkLookupV6$$|BenchmarkLookupChurn' \
-		-benchtime=1x ./internal/fib/
-	# Static-analysis latency smoke: a cold (uncached) full-repo bgplint
-	# run must land inside the 30s budget the incremental lint gate
-	# assumes, so the cache can never hide an analysis-time regression.
-	$(GO) run ./cmd/bgplint -baseline lint/baseline.json -budget 30s ./... > /dev/null
-
-test:
-	$(GO) test ./...
-
-check: build fmt vet lint race conformance bench-smoke test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

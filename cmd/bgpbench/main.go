@@ -10,8 +10,8 @@
 //	bgpbench fig5    [-n prefixes] [-step mbps] [-csv dir]
 //	bgpbench fig6    [-n prefixes] [-cross mbps] [-csv dir]
 //	bgpbench scenario -num N [-system NAME] [-n prefixes] [-cross mbps]
-//	bgpbench live    [-n prefixes] [-num N] [-afi v4|v6|dual] [-fib engine] [-cpus N] [-crossworkers K] [-crosspps R] [-shards LIST] [-batch N] [-batchdelay D] [-pprof addr] [-json file] [-merge file]
-//	bgpbench fanout  [-n prefixes] [-afi v4|v6|dual] [-table uniform|dfz] [-peers LIST] [-groups G] [-shards N] [-grouped-only] [-cpus N] [-json file] [-merge file]
+//	bgpbench live    [-n prefixes] [-num N] [-afi v4|v6|dual] [-fib engine] [-cpus N] [-crossworkers K] [-crosspps R] [-shards LIST] [-pprof addr] [-json file]
+//	bgpbench fanout  [-n prefixes] [-afi v4|v6|dual] [-table uniform|dfz] [-peers LIST] [-groups G] [-shards N] [-grouped-only] [-cpus N] [-json file]
 //	bgpbench lookup  [-n prefixes] [-engines LIST] [-readers K] [-churn N] [-duration D] [-cpus N] [-json file]
 //	bgpbench livesweep [-n prefixes] [-num N] [-cpus N]
 //	bgpbench chaos   [-n prefixes] [-num N] [-profiles LIST] [-seed S] [-shards LIST] [-json file]
@@ -299,11 +299,8 @@ func cmdLive(args []string) error {
 	jsonOut := fs.String("json", "", "write machine-readable results (scenario x shards x tps) to this file")
 	profile := fs.String("profile", "", "netem fault profile for the speaker transports (empty/clean = none)")
 	faultSeed := fs.Int64("faultseed", 0, "fault-schedule seed (0 = workload seed)")
-	batch := fs.Int("batch", 0, "max UPDATEs coalesced per shard dispatch (0 = default 256, negative = disable batching)")
-	batchDelay := fs.Duration("batchdelay", 0, "max time an UPDATE may wait in a forming batch (0 = default 200us, negative = flush when the session idles)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the benchmark runs")
 	repeat := fs.Int("repeat", 1, "runs per scenario/shard cell; the best run is reported (rejects scheduler noise on short runs)")
-	merge := fs.String("merge", "", "append the rows to an existing JSON array file (e.g. BENCH_live.json)")
 	fs.Parse(args)
 
 	applyCPUs(*cpus)
@@ -328,25 +325,23 @@ func cmdLive(args []string) error {
 		}
 		scns = []bench.Scenario{scn}
 	}
-	fmt.Printf("Live benchmark: Go BGP router over loopback, table %d, fib=%s, crossworkers=%d\n\n",
-		*n, *fibEngine, *crossWorkers)
+	fmt.Printf("Live benchmark: Go BGP router over loopback, table %d, fib=%s, crossworkers=%d\n%s\n\n",
+		*n, *fibEngine, *crossWorkers, notPublished)
 	fmt.Printf("%-48s %7s %12s %10s %14s\n", "scenario", "shards", "tps", "duration", "fwd pkts/s")
 	var rows []liveRow
 	for _, scn := range scns {
 		for _, sh := range shardList {
 			cfg := bench.LiveConfig{
-				TableSize:       *n,
-				Seed:            *seed,
-				AFI:             *afi,
-				FIBEngine:       *fibEngine,
-				CrossWorkers:    *crossWorkers,
-				CrossPPS:        *crossPPS,
-				Shards:          sh,
-				Timeout:         5 * time.Minute,
-				FaultProfile:    *profile,
-				FaultSeed:       *faultSeed,
-				BatchMaxUpdates: *batch,
-				BatchMaxDelay:   *batchDelay,
+				TableSize:    *n,
+				Seed:         *seed,
+				AFI:          *afi,
+				FIBEngine:    *fibEngine,
+				CrossWorkers: *crossWorkers,
+				CrossPPS:     *crossPPS,
+				Shards:       sh,
+				Timeout:      5 * time.Minute,
+				FaultProfile: *profile,
+				FaultSeed:    *faultSeed,
 			}
 			// Short cells (tens of milliseconds on small tables) are at
 			// the mercy of the scheduler; with -repeat the best of k runs
@@ -373,7 +368,6 @@ func cmdLive(args []string) error {
 			}
 			fmt.Println()
 			rows = append(rows, liveRow{
-				Workload:        "scenario",
 				Scenario:        res.Scenario.Num,
 				ScenarioName:    res.Scenario.String(),
 				AFI:             res.AFI,
@@ -383,8 +377,6 @@ func cmdLive(args []string) error {
 				DurationSeconds: res.Duration.Seconds(),
 				FwdPPS:          res.FwdPacketsPerSec,
 				FIBEngine:       *fibEngine,
-				BatchMaxUpdates: res.BatchMaxUpdates,
-				BatchMaxDelayUS: float64(res.BatchMaxDelay) / float64(time.Microsecond),
 				Repeats:         *repeat,
 				Mem:             bench.Mem(),
 				Host:            bench.Host(),
@@ -404,20 +396,17 @@ func cmdLive(args []string) error {
 		}
 		fmt.Printf("\nwrote %s (%d rows)\n", *jsonOut, len(rows))
 	}
-	if *merge != "" {
-		if err := mergeRows(*merge, "scenario", *afi, rows); err != nil {
-			return err
-		}
-		fmt.Printf("\nmerged %d rows into %s\n", len(rows), *merge)
-	}
 	return nil
 }
 
+// notPublished heads the live and fanout output: the repository's
+// measured numbers come from benchmark/ (bash benchmark/run.sh), which
+// repeats, reports spread and checks the host; these commands do not.
+const notPublished = "not a published number — see benchmark/"
+
 // fanoutRow is one record of the machine-readable fanout benchmark
-// output, sharing BENCH_live.json with the other workloads (the
-// workload field tells them apart).
+// output.
 type fanoutRow struct {
-	Workload        string         `json:"workload"` // "fanout"
 	AFI             string         `json:"afi,omitempty"`
 	Peers           int            `json:"peers"`
 	Groups          int            `json:"groups"`
@@ -451,7 +440,6 @@ func cmdFanout(args []string) error {
 	cpus := fs.Int("cpus", 0, "set GOMAXPROCS for the run (0 = leave as is)")
 	seed := fs.Int64("seed", 1, "workload seed")
 	jsonOut := fs.String("json", "", "write machine-readable results to this file")
-	merge := fs.String("merge", "", "append the rows to an existing JSON array file (e.g. BENCH_live.json)")
 	fs.Parse(args)
 	applyCPUs(*cpus)
 
@@ -464,8 +452,8 @@ func cmdFanout(args []string) error {
 		peerList = append(peerList, v)
 	}
 
-	fmt.Printf("Fanout benchmark: table %d, %d policy groups, peers %v, update groups off vs on\n\n",
-		*n, *groups, peerList)
+	fmt.Printf("Fanout benchmark: table %d, %d policy groups, peers %v, update groups off vs on\n%s\n\n",
+		*n, *groups, peerList, notPublished)
 	fmt.Printf("%6s %7s %7s %12s %16s %10s %8s %12s %12s %12s\n",
 		"peers", "grouped", "shards", "tps", "ns/prefix/peer", "duration", "fanout", "bytes saved", "marshaled", "rss")
 	modes := []bool{false, true}
@@ -487,7 +475,6 @@ func cmdFanout(args []string) error {
 				res.Duration.Seconds(), res.FanoutRatio,
 				fmtBytes(res.BytesSaved), fmtBytes(res.BytesMarshaled), fmtBytes(res.Mem.RSSBytes))
 			rows = append(rows, fanoutRow{
-				Workload:        "fanout",
 				AFI:             res.AFI,
 				Peers:           res.Peers,
 				Groups:          res.Groups,
@@ -523,63 +510,13 @@ func cmdFanout(args []string) error {
 		}
 		fmt.Printf("\nwrote %s (%d rows)\n", *jsonOut, len(rows))
 	}
-	if *merge != "" {
-		if err := mergeRows(*merge, "fanout", *afi, rows); err != nil {
-			return err
-		}
-		fmt.Printf("\nmerged %d rows into %s\n", len(rows), *merge)
-	}
 	return nil
 }
 
-// mergeRows appends rows to an existing JSON array file, preserving the
-// records already there. Rows of the same workload AND address family
-// are replaced so reruns do not accumulate duplicates, while a -afi v6
-// or dual run merges alongside the persisted v4 rows instead of
-// clobbering them.
-func mergeRows[T any](path, workload, afi string, rows []T) error {
-	var existing []json.RawMessage
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &existing); err != nil {
-			return fmt.Errorf("merge %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	var kept []json.RawMessage
-	for _, raw := range existing {
-		var probe struct {
-			Workload string `json:"workload"`
-			AFI      string `json:"afi"`
-		}
-		if err := json.Unmarshal(raw, &probe); err == nil &&
-			probe.Workload == workload && probe.AFI == afi {
-			continue
-		}
-		kept = append(kept, raw)
-	}
-	for _, row := range rows {
-		b, err := json.Marshal(row)
-		if err != nil {
-			return err
-		}
-		kept = append(kept, b)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(kept)
-}
-
 // liveRow is one record of the machine-readable live benchmark output.
-// Host context, memory, and the effective batching knobs ride along so
-// persisted results stay comparable across machines and configurations.
+// Host context and memory ride along so results stay comparable across
+// machines.
 type liveRow struct {
-	Workload        string         `json:"workload,omitempty"`
 	Scenario        int            `json:"scenario"`
 	ScenarioName    string         `json:"scenario_name"`
 	AFI             string         `json:"afi,omitempty"`
@@ -589,8 +526,6 @@ type liveRow struct {
 	DurationSeconds float64        `json:"duration_seconds"`
 	FwdPPS          float64        `json:"fwd_pps,omitempty"`
 	FIBEngine       string         `json:"fib_engine"`
-	BatchMaxUpdates int            `json:"batch_max_updates"`
-	BatchMaxDelayUS float64        `json:"batch_max_delay_us"`
 	Repeats         int            `json:"repeats,omitempty"`
 	Mem             bench.MemInfo  `json:"mem"`
 	Host            bench.HostInfo `json:"host"`
@@ -630,8 +565,7 @@ func parseShardList(s string) ([]int, error) {
 }
 
 // lookupRow is one record of the machine-readable lookup benchmark
-// output, sharing BENCH_live.json with the scenario rows (the workload
-// field tells them apart).
+// output; the workload field tells the two passes apart.
 type lookupRow struct {
 	Workload           string         `json:"workload"` // "lookup" or "lookup_churn"
 	Prefixes           int            `json:"prefixes"`

@@ -35,8 +35,6 @@ func main() {
 	neighbors := flag.String("neighbors", "65001,65002", "comma-separated neighbour AS numbers to accept")
 	fib := flag.String("fib", "patricia", "FIB engine: linear, binary, patricia, hashlen, poptrie")
 	shards := flag.Int("shards", 0, "decision-worker shard count (0 = GOMAXPROCS)")
-	batch := flag.Int("batch-updates", 0, "max UPDATEs coalesced per shard dispatch (0 = default 256, negative = disable batching)")
-	batchDelay := flag.Duration("batch-delay", 0, "max time an UPDATE may wait in a forming batch (0 = default 200us, negative = flush when the session idles)")
 	updateGroups := flag.Bool("update-groups", false, "bucket peers by export policy into update groups: compute and marshal each emission run once per group and fan the bytes out (route-server mode; also the 'update-groups' config directive)")
 	statsEvery := flag.Duration("stats", 5*time.Second, "statistics print interval (0 disables)")
 	httpAddr := flag.String("http", "", "serve /status, /fib, /metrics on this address (empty disables)")
@@ -72,15 +70,13 @@ func main() {
 			ncfgs = append(ncfgs, core.NeighborConfig{AS: uint32(n)})
 		}
 		cfg = core.Config{
-			AS:              uint32(*as),
-			ID:              routerID,
-			ListenAddr:      *listen,
-			Neighbors:       ncfgs,
-			FIBEngine:       *fib,
-			Shards:          *shards,
-			BatchMaxUpdates: *batch,
-			BatchMaxDelay:   *batchDelay,
-			UpdateGroups:    *updateGroups,
+			AS:           uint32(*as),
+			ID:           routerID,
+			ListenAddr:   *listen,
+			Neighbors:    ncfgs,
+			FIBEngine:    *fib,
+			Shards:       *shards,
+			UpdateGroups: *updateGroups,
 		}
 	}
 	if len(cfg.Neighbors) == 0 {
@@ -112,9 +108,7 @@ func main() {
 	}
 	fmt.Printf("bgprouterd: AS %d, ID %s, listening on %s, %d neighbours, fib=%s\n",
 		cfg.AS, cfg.ID, router.ListenAddr(), len(cfg.Neighbors), cfg.FIBEngine)
-	bu, bd := router.BatchLimits()
-	fmt.Printf("bgprouterd: %d shards, dispatch batching %d updates / %v\n",
-		router.Shards(), bu, bd)
+	fmt.Printf("bgprouterd: %d shards\n", router.Shards())
 	if router.UpdateGroupsEnabled() {
 		fmt.Println("bgprouterd: update groups enabled (bgp_update_group_* counters on /metrics)")
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // Exit codes for Main, mirroring the convention of go vet: clean, has
@@ -37,14 +36,11 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("bgplint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	jsonOut := flags.Bool("json", false, "emit findings as a JSON array instead of file:line text")
-	sarifOut := flags.Bool("sarif", false, "emit findings as SARIF 2.1.0 instead of file:line text")
 	list := flags.Bool("list", false, "list available analyzers and exit")
 	dir := flags.String("C", ".", "directory to resolve packages from")
 	baselinePath := flags.String("baseline", "", "committed baseline file: listed findings stay visible but do not fail; new or stale entries do")
 	writeBaseline := flags.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit clean")
 	allowsOut := flags.String("allows", "", "write the //bgplint:allow inventory as a markdown table to this file ('-' for stdout)")
-	cacheDir := flags.String("cache", "", "directory for incremental runs: replay cached findings when no input file changed")
-	budget := flags.Duration("budget", 0, "fail if the uncached analysis takes longer than this wall-clock duration")
 	flags.Usage = func() {
 		fmt.Fprintf(stderr, "usage: bgplint [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range Analyzers() {
@@ -80,16 +76,19 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return filepath.ToSlash(file)
 	}
 
-	diags, inventory, cached, elapsed, code := runOrReplay(*dir, patterns, *cacheDir, stderr)
-	if code != ExitClean {
-		return code
+	pkgs, err := Load(*dir, patterns)
+	if err != nil {
+		fmt.Fprintf(stderr, "bgplint: %v\n", err)
+		return ExitError
+	}
+	diags, err := RunAnalyzers(pkgs, DefaultConfig(), Analyzers())
+	if err != nil {
+		fmt.Fprintf(stderr, "bgplint: %v\n", err)
+		return ExitError
 	}
 
 	if *allowsOut != "" {
-		for i := range inventory {
-			inventory[i].File = rel(inventory[i].File)
-		}
-		if err := writeAllowInventory(*allowsOut, inventory, stdout); err != nil {
+		if err := writeAllowInventory(*allowsOut, CollectAllowInventory(pkgs, rel), stdout); err != nil {
 			fmt.Fprintf(stderr, "bgplint: %v\n", err)
 			return ExitError
 		}
@@ -128,11 +127,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case *sarifOut:
-		if err := writeSARIF(stdout, diags, rel); err != nil {
-			fmt.Fprintf(stderr, "bgplint: %v\n", err)
-			return ExitError
-		}
 	case *jsonOut:
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
@@ -171,85 +165,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			e.File, e.Analyzer, e.Message, e.Count)
 		exit = ExitFindings
 	}
-	if *budget > 0 && !cached && elapsed > *budget {
-		fmt.Fprintf(stderr, "bgplint: analysis took %s, over the %s budget\n", elapsed.Round(time.Millisecond), *budget)
-		if exit == ExitClean {
-			exit = ExitFindings
-		}
-	}
 	return exit
-}
-
-// cachedRun is the replayable result of one full analysis, keyed by the
-// source digest.
-type cachedRun struct {
-	Digest    string           `json:"digest"`
-	Diags     []jsonDiagnostic `json:"diags"`
-	Inventory []AllowEntry     `json:"inventory"`
-}
-
-// runOrReplay performs the load+analyze step, or replays a cached
-// result when cacheDir is set and the source digest matches. The
-// returned elapsed duration covers only real (uncached) analysis.
-func runOrReplay(dir string, patterns []string, cacheDir string, stderr io.Writer) (diags []Diagnostic, inventory []AllowEntry, cached bool, elapsed time.Duration, code int) {
-	var digest, cachePath string
-	if cacheDir != "" {
-		var err error
-		digest, err = SourceDigest(dir, patterns)
-		if err != nil {
-			fmt.Fprintf(stderr, "bgplint: %v\n", err)
-			return nil, nil, false, 0, ExitError
-		}
-		cachePath = filepath.Join(cacheDir, "bgplint.json")
-		if data, err := os.ReadFile(cachePath); err == nil {
-			var run cachedRun
-			if json.Unmarshal(data, &run) == nil && run.Digest == digest {
-				for _, d := range run.Diags {
-					diags = append(diags, d.toDiagnostic())
-				}
-				return diags, run.Inventory, true, 0, ExitClean
-			}
-		}
-	}
-
-	start := time.Now()
-	pkgs, err := Load(dir, patterns)
-	if err != nil {
-		fmt.Fprintf(stderr, "bgplint: %v\n", err)
-		return nil, nil, false, 0, ExitError
-	}
-	diags, err = RunAnalyzers(pkgs, DefaultConfig(), Analyzers())
-	if err != nil {
-		fmt.Fprintf(stderr, "bgplint: %v\n", err)
-		return nil, nil, false, 0, ExitError
-	}
-	inventory = CollectAllowInventory(pkgs, func(s string) string { return s })
-	elapsed = time.Since(start)
-
-	if cachePath != "" {
-		run := cachedRun{Digest: digest, Inventory: inventory}
-		for _, d := range diags {
-			run.Diags = append(run.Diags, jsonDiagnostic{
-				File: d.Position.Filename, Line: d.Position.Line, Column: d.Position.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
-		}
-		if data, err := json.Marshal(run); err == nil {
-			if err := os.MkdirAll(cacheDir, 0o755); err == nil {
-				_ = os.WriteFile(cachePath, data, 0o644)
-			}
-		}
-	}
-	return diags, inventory, false, elapsed, ExitClean
-}
-
-// toDiagnostic rebuilds a Diagnostic from its cached form.
-func (j jsonDiagnostic) toDiagnostic() Diagnostic {
-	d := Diagnostic{Analyzer: j.Analyzer, Message: j.Message}
-	d.Position.Filename = j.File
-	d.Position.Line = j.Line
-	d.Position.Column = j.Column
-	return d
 }
 
 // writeAllowInventory renders the suppression inventory as the markdown

@@ -65,46 +65,6 @@ func TestMainJSON(t *testing.T) {
 	}
 }
 
-// TestMainSARIF pins the -sarif shape: valid SARIF 2.1.0 with one rule
-// per analyzer (plus the driver's own rule) and one result per finding,
-// carrying baselineState.
-func TestMainSARIF(t *testing.T) {
-	var out, errb strings.Builder
-	code := Main([]string{"-sarif", fixturePrefix + "detclock"}, &out, &errb)
-	if code != ExitFindings {
-		t.Fatalf("Main -sarif = %d, want %d\nstderr:\n%s", code, ExitFindings, errb.String())
-	}
-	var log sarifLog
-	if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-		t.Fatalf("-sarif output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("SARIF version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("SARIF runs = %d, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if got, want := len(run.Tool.Driver.Rules), len(Analyzers())+1; got != want {
-		t.Errorf("SARIF rules = %d, want %d (analyzers + driver)", got, want)
-	}
-	if len(run.Results) == 0 {
-		t.Fatal("SARIF results empty for a flagged fixture")
-	}
-	for _, r := range run.Results {
-		if r.RuleID != "detclock" {
-			t.Errorf("unexpected ruleId %q in detclock fixture results", r.RuleID)
-		}
-		if r.BaselineState != "new" {
-			t.Errorf("un-baselined finding has baselineState %q, want new", r.BaselineState)
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" || loc.Region.StartLine == 0 {
-			t.Errorf("SARIF result missing location: %+v", r)
-		}
-	}
-}
-
 // TestMainBaselineLifecycle drives the whole audited-findings loop
 // in-process: write the ledger from a flagged fixture, re-run against
 // it (clean, findings still visible), then break it both ways — a
@@ -193,36 +153,6 @@ func TestMainAllowInventory(t *testing.T) {
 	}
 	if !strings.Contains(table, "pooledbuf") || strings.Count(table, "\n") < 3 {
 		t.Errorf("inventory missing fixture allows:\n%s", table)
-	}
-}
-
-// TestMainCacheAndBudget drives the incremental path: with an
-// unchanged tree the second run replays the cached findings, which is
-// also the observable that the -budget clock only charges real
-// analysis — an impossible 1ns budget fails the cold run and passes
-// the cached one.
-func TestMainCacheAndBudget(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	pkg := "bgpbench/internal/analysis/cfg" // small and lint-clean
-	args := []string{"-cache", cacheDir, "-budget", "1ns", pkg}
-
-	var out, errb strings.Builder
-	if code := Main(args, &out, &errb); code != ExitFindings {
-		t.Fatalf("cold run with 1ns budget = %d, want %d (budget exceeded)\nstderr:\n%s",
-			code, ExitFindings, errb.String())
-	}
-	if !strings.Contains(errb.String(), "over the 1ns budget") {
-		t.Errorf("budget violation not reported:\n%s", errb.String())
-	}
-	if _, err := os.Stat(filepath.Join(cacheDir, "bgplint.json")); err != nil {
-		t.Fatalf("cold run left no cache file: %v", err)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := Main(args, &out, &errb); code != ExitClean {
-		t.Fatalf("warm run = %d, want clean (replay skips the budget)\nstderr:\n%s",
-			code, errb.String())
 	}
 }
 

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -12,10 +10,8 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"bgpbench/internal/analysis/cfg"
@@ -160,40 +156,3 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// SourceDigest fingerprints everything a bgplint run depends on: the
-// resolved file set of every module package the patterns pull in (deps
-// included — cross-package facts make dependency sources part of the
-// result) and their contents. Because `./...` includes
-// internal/analysis itself, editing an analyzer or the config
-// invalidates the digest too. The digest is the key of the build-cache-
-// aware incremental mode: an unchanged digest means an identical run,
-// so the cached findings can be replayed without re-type-checking the
-// module. Only `go list` and file reads run here — no parsing.
-func SourceDigest(dir string, patterns []string) (string, error) {
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return "", err
-	}
-	var files []string
-	for _, lp := range listed {
-		if lp.Standard || lp.Name == "" {
-			continue
-		}
-		for _, name := range lp.GoFiles {
-			files = append(files, filepath.Join(lp.Dir, name))
-		}
-	}
-	sort.Strings(files)
-	h := sha256.New()
-	fmt.Fprintf(h, "bgplint-cache-v1\npatterns=%s\n", strings.Join(patterns, " "))
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return "", fmt.Errorf("hashing %s: %v", path, err)
-		}
-		sum := sha256.Sum256(data)
-		fmt.Fprintf(h, "%s %s\n", path, hex.EncodeToString(sum[:]))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}

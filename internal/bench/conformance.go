@@ -32,11 +32,6 @@ type ConformanceConfig struct {
 	TableSize int
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
-	// BatchMaxUpdates / BatchMaxDelay forward to the router's batched
-	// dispatch knobs (0 = router defaults, negative = disable/idle-flush).
-	// Digests must be identical across every setting.
-	BatchMaxUpdates int
-	BatchMaxDelay   time.Duration
 	// Peers adds this many receive-only peer sessions (AS 65100+i) that
 	// watch the run and whose Adj-RIB-Out digests land in AdjOutDigests.
 	// 0 keeps the classic two-speaker topology.
@@ -161,14 +156,12 @@ func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, err
 		})
 	}
 	router, err := core.NewRouter(core.Config{
-		AS:              liveRouterAS,
-		ID:              netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:      "127.0.0.1:0",
-		Shards:          cfg.Shards,
-		BatchMaxUpdates: cfg.BatchMaxUpdates,
-		BatchMaxDelay:   cfg.BatchMaxDelay,
-		UpdateGroups:    cfg.UpdateGroups,
-		Neighbors:       neighbors,
+		AS:           liveRouterAS,
+		ID:           netaddr.MustParseAddr("10.255.0.1"),
+		ListenAddr:   "127.0.0.1:0",
+		Shards:       cfg.Shards,
+		UpdateGroups: cfg.UpdateGroups,
+		Neighbors:    neighbors,
 	})
 	if err != nil {
 		return out, err

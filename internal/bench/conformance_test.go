@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -14,60 +19,150 @@ var gateProfiles = []string{"clean", "lossy-reorder", "flap-reset"}
 const conformanceSeed = 1701
 
 // runConf executes one conformance run, failing the test on error.
-func runConf(t *testing.T, scn Scenario, profile string, shards int) ConformanceResult {
+func runConf(t *testing.T, scn Scenario, afi, profile string, shards int) ConformanceResult {
 	t.Helper()
 	res, err := RunConformance(scn, ConformanceConfig{
 		Profile: profile,
 		Seed:    conformanceSeed,
 		Shards:  shards,
+		AFI:     afi,
 	})
 	if err != nil {
-		t.Fatalf("%s [%s N=%d]: %v", scn, profile, shards, err)
+		t.Fatalf("%s [%s/%s N=%d]: %v", scn, afi, profile, shards, err)
 	}
 	return res
 }
 
-// TestConformanceMatrix is the acceptance gate: every scenario, under
-// every gate profile, must settle to the same Loc-RIB/Adj-RIB-Out/FIB
-// digests with one decision shard and with four — and every faulted run
-// must match the clean run's digests (the profiles guarantee eventual
-// delivery). Runs the full 8x3x2 matrix; skipped under -short.
+var update = flag.Bool("update", false, "rewrite testdata/conformance_digests.json from this run")
+
+const goldenPath = "testdata/conformance_digests.json"
+
+// goldenState is the pinned settled state of one scenario: the reference
+// every mode of the router is compared against, so that equivalence is
+// never only "two modes of the same implementation agree".
+type goldenState struct {
+	Loc    string            `json:"loc_rib_digest"`
+	FIB    string            `json:"fib_digest"`
+	AdjOut map[string]string `json:"adj_out_digests"`
+}
+
+// goldenDigests pins, per address-family mix ("v4", "dual") and scenario
+// number, the clean N=1 digests. Regenerate only for an intended change
+// of routing behaviour:
+//
+//	go test ./internal/bench -run TestConformanceMatrix -update
+type goldenDigests struct {
+	mu    sync.Mutex // the scenarios check in as parallel subtests
+	byAFI map[string]map[string]goldenState
+}
+
+func loadGolden(t *testing.T) *goldenDigests {
+	t.Helper()
+	g := &goldenDigests{byAFI: map[string]map[string]goldenState{}}
+	if *update {
+		return g
+	}
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden digests (run with -update): %v", err)
+	}
+	if err := json.Unmarshal(b, &g.byAFI); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return g
+}
+
+// check compares one run against its pinned state, or records it under
+// -update.
+func (g *goldenDigests) check(t *testing.T, afi string, res ConformanceResult) {
+	t.Helper()
+	got := goldenState{Loc: res.LocRIBDigest, FIB: res.FIBDigest, AdjOut: res.AdjOutDigests}
+	num := fmt.Sprint(res.Scenario.Num)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if *update {
+		if g.byAFI[afi] == nil {
+			g.byAFI[afi] = map[string]goldenState{}
+		}
+		g.byAFI[afi][num] = got
+		return
+	}
+	want, ok := g.byAFI[afi][num]
+	if !ok {
+		t.Errorf("%s [%s]: no golden digests (run with -update)", res.Scenario, afi)
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s [%s]: settled state drifted from %s:\n  got  %+v\n  want %+v\nre-run with -update if the change is intentional",
+			res.Scenario, afi, goldenPath, got, want)
+	}
+}
+
+func (g *goldenDigests) write(t *testing.T) {
+	t.Helper()
+	b, err := json.MarshalIndent(g.byAFI, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConformanceMatrix is the acceptance gate: every scenario's clean
+// N=1 run must settle to the pinned golden digests (IPv4 and dual-stack
+// workloads), and under every gate profile must settle to the same
+// Loc-RIB/Adj-RIB-Out/FIB digests with one decision shard and with four
+// — every faulted run matching the clean run (the profiles guarantee
+// eventual delivery). Runs the full 8x3x2 matrix; skipped under -short.
 func TestConformanceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full conformance matrix is long; run without -short")
 	}
-	for _, scn := range Scenarios {
-		scn := scn
-		t.Run(fmt.Sprintf("scenario%d", scn.Num), func(t *testing.T) {
-			t.Parallel()
-			var cleanDigest string
-			for _, profile := range gateProfiles {
-				single := runConf(t, scn, profile, 1)
-				sharded := runConf(t, scn, profile, 4)
-				if single.StateDigest() != sharded.StateDigest() {
-					t.Errorf("%s [%s]: N=1 and N=4 disagree:\n  N=1 loc=%s fib=%s\n  N=4 loc=%s fib=%s",
-						scn, profile,
-						single.LocRIBDigest, single.FIBDigest,
-						sharded.LocRIBDigest, sharded.FIBDigest)
+	golden := loadGolden(t)
+	// The group returns once every parallel scenario has finished.
+	t.Run("scenarios", func(t *testing.T) {
+		for _, scn := range Scenarios {
+			scn := scn
+			t.Run(fmt.Sprint(scn.Num), func(t *testing.T) {
+				t.Parallel()
+				golden.check(t, AFIDual, runConf(t, scn, AFIDual, "clean", 1))
+				var cleanDigest string
+				for _, profile := range gateProfiles {
+					single := runConf(t, scn, AFIv4, profile, 1)
+					sharded := runConf(t, scn, AFIv4, profile, 4)
+					if single.StateDigest() != sharded.StateDigest() {
+						t.Errorf("%s [%s]: N=1 and N=4 disagree:\n  N=1 loc=%s fib=%s\n  N=4 loc=%s fib=%s",
+							scn, profile,
+							single.LocRIBDigest, single.FIBDigest,
+							sharded.LocRIBDigest, sharded.FIBDigest)
+					}
+					if profile == "clean" {
+						golden.check(t, AFIv4, single)
+						cleanDigest = single.StateDigest()
+						if single.Faults.Corrupts+single.Faults.Resets+single.Faults.Reorders != 0 {
+							t.Errorf("%s [clean]: faults injected: %+v", scn, single.Faults)
+						}
+					} else {
+						if single.StateDigest() != cleanDigest {
+							t.Errorf("%s [%s]: faulted state differs from clean run", scn, profile)
+						}
+						if profile == "flap-reset" && single.Faults.Resets == 0 {
+							t.Errorf("%s [flap-reset]: no reset fired; profile exercised nothing", scn)
+						}
+						if profile == "lossy-reorder" && single.Faults.Corrupts+single.Faults.Reorders == 0 {
+							t.Errorf("%s [lossy-reorder]: no corruption fired; profile exercised nothing", scn)
+						}
+					}
 				}
-				if profile == "clean" {
-					cleanDigest = single.StateDigest()
-					if single.Faults.Corrupts+single.Faults.Resets+single.Faults.Reorders != 0 {
-						t.Errorf("%s [clean]: faults injected: %+v", scn, single.Faults)
-					}
-				} else {
-					if single.StateDigest() != cleanDigest {
-						t.Errorf("%s [%s]: faulted state differs from clean run", scn, profile)
-					}
-					if profile == "flap-reset" && single.Faults.Resets == 0 {
-						t.Errorf("%s [flap-reset]: no reset fired; profile exercised nothing", scn)
-					}
-					if profile == "lossy-reorder" && single.Faults.Corrupts+single.Faults.Reorders == 0 {
-						t.Errorf("%s [lossy-reorder]: no corruption fired; profile exercised nothing", scn)
-					}
-				}
-			}
-		})
+			})
+		}
+	})
+	if *update && !t.Failed() {
+		golden.write(t)
 	}
 }
 
@@ -77,8 +172,8 @@ func TestConformanceMatrix(t *testing.T) {
 func TestConformanceReplayDeterminism(t *testing.T) {
 	scn := Scenarios[7] // incremental-change, large packets: all phases, both speakers
 	for _, profile := range []string{"lossy-reorder", "flap-reset"} {
-		a := runConf(t, scn, profile, 4)
-		b := runConf(t, scn, profile, 4)
+		a := runConf(t, scn, AFIv4, profile, 4)
+		b := runConf(t, scn, AFIv4, profile, 4)
 		if a.ScheduleDigest != b.ScheduleDigest {
 			t.Errorf("[%s] fault schedules differ across runs:\n  %s\n  %s",
 				profile, a.ScheduleDigest, b.ScheduleDigest)
@@ -90,38 +185,6 @@ func TestConformanceReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestConformanceBatchingEquivalence: the batched dispatch path must
-// settle to digests identical to the unbatched one. One representative
-// small-packet scenario at N=4, swept across batch bounds (disabled,
-// degenerate 1-update batches, and a mid-size bound), plus one faulted
-// run to cover flush-before-teardown interleavings.
-func TestConformanceBatchingEquivalence(t *testing.T) {
-	scn := Scenarios[6] // incremental-change, small packets: max message count
-	run := func(profile string, batch int) ConformanceResult {
-		res, err := RunConformance(scn, ConformanceConfig{
-			Profile:         profile,
-			Seed:            conformanceSeed,
-			Shards:          4,
-			BatchMaxUpdates: batch,
-		})
-		if err != nil {
-			t.Fatalf("%s [%s batch=%d]: %v", scn, profile, batch, err)
-		}
-		return res
-	}
-	base := run("clean", -1) // batching disabled
-	for _, batch := range []int{1, 32, 256} {
-		if got := run("clean", batch); got.StateDigest() != base.StateDigest() {
-			t.Errorf("%s [clean]: batch=%d digests differ from unbatched:\n  loc %s / %s\n  fib %s / %s",
-				scn, batch, base.LocRIBDigest, got.LocRIBDigest, base.FIBDigest, got.FIBDigest)
-		}
-	}
-	faultBase := run("flap-reset", -1)
-	if got := run("flap-reset", 32); got.StateDigest() != faultBase.StateDigest() {
-		t.Errorf("%s [flap-reset]: batch=32 digests differ from unbatched", scn)
-	}
-}
-
 // TestConformanceGate is the quick -race CI gate: one representative
 // scenario under one faulty profile, N=1 vs N=4. Selected via
 // BGPBENCH_CONFORMANCE_GATE=1 so the race run can execute just this
@@ -129,8 +192,8 @@ func TestConformanceBatchingEquivalence(t *testing.T) {
 func TestConformanceGate(t *testing.T) {
 	scn := Scenarios[6] // incremental-change, small packets: max message count
 	profile := "flap-reset"
-	single := runConf(t, scn, profile, 1)
-	sharded := runConf(t, scn, profile, 4)
+	single := runConf(t, scn, AFIv4, profile, 1)
+	sharded := runConf(t, scn, AFIv4, profile, 4)
 	if single.StateDigest() != sharded.StateDigest() {
 		t.Fatalf("%s [%s]: N=1 and N=4 disagree", scn, profile)
 	}
@@ -153,16 +216,7 @@ func TestConformanceGate(t *testing.T) {
 func TestConformanceDualStackGate(t *testing.T) {
 	scn := Scenarios[6] // incremental-change, small packets: all phases
 	run := func(afi, profile string, shards int) ConformanceResult {
-		res, err := RunConformance(scn, ConformanceConfig{
-			Profile: profile,
-			Seed:    conformanceSeed,
-			Shards:  shards,
-			AFI:     afi,
-		})
-		if err != nil {
-			t.Fatalf("%s [%s/%s N=%d]: %v", scn, afi, profile, shards, err)
-		}
-		return res
+		return runConf(t, scn, afi, profile, shards)
 	}
 	digests := map[string]string{}
 	for _, afi := range []string{AFIv4, AFIv6, AFIDual} {

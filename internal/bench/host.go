@@ -8,9 +8,9 @@ import (
 )
 
 // HostInfo records the execution environment a benchmark ran under, so
-// persisted results (BENCH_live.json) are comparable across machines:
-// a 4-shard number from a 1-core box means something very different
-// from the same number on 16 cores.
+// -json results are comparable across machines: a 4-shard number from a
+// 1-core box means something very different from the same number on 16
+// cores.
 type HostInfo struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

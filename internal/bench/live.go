@@ -38,10 +38,6 @@ type LiveConfig struct {
 	// 1 = the classic single-worker pipeline). Sweeping this measures how
 	// the fifth system scales where the paper's four could not.
 	Shards int
-	// BatchMaxUpdates / BatchMaxDelay forward to the router's batched
-	// dispatch knobs (0 = router defaults, negative = disable/idle-flush).
-	BatchMaxUpdates int
-	BatchMaxDelay   time.Duration
 	// Timeout bounds each phase. Zero scales the deadline with the table
 	// size (see scaledTimeout) so full-DFZ runs don't inherit the flat
 	// small-table default.
@@ -92,12 +88,8 @@ type LiveResult struct {
 	// AFI echoes the workload's address-family mix ("" = v4).
 	AFI string
 	// Shards is the decision-worker count the router actually ran with.
-	Shards int
-	// BatchMaxUpdates and BatchMaxDelay are the effective batched-dispatch
-	// bounds the router ran with (after defaulting; 0 updates = disabled).
-	BatchMaxUpdates int
-	BatchMaxDelay   time.Duration
-	Duration        time.Duration
+	Shards   int
+	Duration time.Duration
 	// TPS is prefix transactions per second of the measured phase.
 	TPS float64
 	// FwdPacketsPerSec is the forwarding throughput sustained during the
@@ -161,13 +153,11 @@ func RunLive(scn Scenario, cfg LiveConfig) (LiveResult, error) {
 	}
 
 	router, err := core.NewRouter(core.Config{
-		AS:              liveRouterAS,
-		ID:              netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:      "127.0.0.1:0",
-		FIBEngine:       cfg.FIBEngine,
-		Shards:          cfg.Shards,
-		BatchMaxUpdates: cfg.BatchMaxUpdates,
-		BatchMaxDelay:   cfg.BatchMaxDelay,
+		AS:         liveRouterAS,
+		ID:         netaddr.MustParseAddr("10.255.0.1"),
+		ListenAddr: "127.0.0.1:0",
+		FIBEngine:  cfg.FIBEngine,
+		Shards:     cfg.Shards,
 		Neighbors: []core.NeighborConfig{
 			{AS: liveSpeaker1AS},
 			{AS: liveSpeaker2AS},
@@ -177,7 +167,6 @@ func RunLive(scn Scenario, cfg LiveConfig) (LiveResult, error) {
 		return out, err
 	}
 	out.Shards = router.Shards()
-	out.BatchMaxUpdates, out.BatchMaxDelay = router.BatchLimits()
 	if err := router.Start(); err != nil {
 		return out, err
 	}

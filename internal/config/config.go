@@ -11,8 +11,6 @@
 //	    listen 0.0.0.0:179
 //	    fib patricia
 //	    shards 4
-//	    batch-updates 256
-//	    batch-delay 200us
 //	    mrai 30s
 //	    damping
 //	    update-groups
@@ -316,22 +314,6 @@ func (p *parser) parseRouter(ts *tokens) error {
 				return err
 			}
 			p.cfg.Shards = v
-		case "batch-updates":
-			v, err := argInt(key, args)
-			if err != nil {
-				return err
-			}
-			p.cfg.BatchMaxUpdates = v
-		case "batch-delay":
-			s, err := argOne(key, args)
-			if err != nil {
-				return err
-			}
-			d, err := time.ParseDuration(s)
-			if err != nil {
-				return fmt.Errorf("config: line %d: bad batch-delay %q: %v", key.line, s, err)
-			}
-			p.cfg.BatchMaxDelay = d
 		default:
 			return fmt.Errorf("config: line %d: unknown router directive %q", key.line, key.text)
 		}

@@ -22,8 +22,6 @@ router {
     damping
     export-batch 100
     shards 2
-    batch-updates 64
-    batch-delay 150us
 }
 
 prefix-list bogons {
@@ -80,9 +78,6 @@ func TestParseFullConfig(t *testing.T) {
 	}
 	if cfg.Shards != 2 {
 		t.Errorf("shards = %d, want 2", cfg.Shards)
-	}
-	if cfg.BatchMaxUpdates != 64 || cfg.BatchMaxDelay != 150*time.Microsecond {
-		t.Errorf("batching: updates=%d delay=%v", cfg.BatchMaxUpdates, cfg.BatchMaxDelay)
 	}
 	if len(cfg.Neighbors) != 2 {
 		t.Fatalf("neighbors = %d", len(cfg.Neighbors))
@@ -160,8 +155,8 @@ func TestParseErrors(t *testing.T) {
 		{"undefined route-map", `router { as 1; id 1.1.1.1 } neighbor 2 { import nope }`, "unknown route-map"},
 		{"undefined prefix-list", `router { as 1 } route-map m { term t { match prefix-list nope } }`, "unknown prefix-list"},
 		{"bad mrai", `router { mrai banana }`, "bad mrai"},
-		{"bad batch-delay", `router { batch-delay soon }`, "bad batch-delay"},
-		{"bad batch-updates", `router { batch-updates many }`, "bad number"},
+		{"removed batch-updates", `router { batch-updates 64 }`, "unknown router directive"},
+		{"removed batch-delay", `router { batch-delay 150us }`, "unknown router directive"},
 		{"bad shards", `router { shards few }`, "bad number"},
 		{"bad prefix rule", `prefix-list p { frobnicate 10.0.0.0/8 } router { as 1 }`, "permit/deny"},
 		{"bad ge", `prefix-list p { permit 10.0.0.0/8 ge x } router { as 1 }`, "bad ge"},
@@ -245,18 +240,6 @@ route-map m { term t { match as-path "not-a-pattern" } }
 `)
 	if err == nil {
 		t.Fatal("bad pattern accepted")
-	}
-}
-
-func TestBatchDirectivesDisable(t *testing.T) {
-	cfg, err := Parse(`
-router { as 65000; id 1.1.1.1; batch-updates -1; batch-delay -1us }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.BatchMaxUpdates != -1 || cfg.BatchMaxDelay != -time.Microsecond {
-		t.Fatalf("negative knobs not preserved: %+v", cfg)
 	}
 }
 

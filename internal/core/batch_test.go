@@ -7,42 +7,16 @@ import (
 	"bgpbench/internal/netaddr"
 )
 
-// TestBatchedEquivalence: batched dispatch must converge to exactly the
-// state the unbatched pipeline produces, for every combination of shard
-// count and batch bound. The baseline run disables batching entirely.
-func TestBatchedEquivalence(t *testing.T) {
-	locBase, fibBase := runShardedWorkloadBatch(t, 1, -1, 0)
-	cases := []struct {
-		name       string
-		shards     int
-		maxUpdates int
-	}{
-		{"1shard-batch1", 1, 1},
-		{"1shard-batch8", 1, 8},
-		{"4shard-unbatched", 4, -1},
-		{"4shard-batch1", 4, 1},
-		{"4shard-batch8", 4, 8},
-		{"4shard-batch256", 4, 256},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			loc, fibDump := runShardedWorkloadBatch(t, c.shards, c.maxUpdates, 0)
-			assertSameState(t, locBase, fibBase, loc, fibDump)
-		})
-	}
-}
-
-// TestBatchDispatchCounters: with batching enabled, the dispatch
-// counters must account for every UPDATE the router received, and the
-// per-shard batch counters must be populated.
+// TestBatchDispatchCounters: the dispatch counters must account for
+// every UPDATE the router received, and the per-shard batch counters
+// must be populated.
 func TestBatchDispatchCounters(t *testing.T) {
 	r := mustStartRouter(t, Config{
-		AS:              65000,
-		ID:              netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:      "127.0.0.1:0",
-		Shards:          2,
-		BatchMaxUpdates: 32,
-		Neighbors:       []NeighborConfig{{AS: 65001}},
+		AS:         65000,
+		ID:         netaddr.MustParseAddr("10.255.0.1"),
+		ListenAddr: "127.0.0.1:0",
+		Shards:     2,
+		Neighbors:  []NeighborConfig{{AS: 65001}},
 	})
 	defer r.Stop()
 	sp := dialSpeaker(t, r, 65001, "1.1.1.1")
@@ -65,35 +39,5 @@ func TestBatchDispatchCounters(t *testing.T) {
 	}
 	if shardBatches == 0 {
 		t.Fatal("no per-shard batches recorded")
-	}
-	if mu, _ := r.BatchLimits(); mu != 32 {
-		t.Fatalf("BatchLimits updates = %d, want 32", mu)
-	}
-}
-
-// TestBatchLatencyBound: a lone UPDATE must not be held in a forming
-// batch longer than BatchMaxDelay. With a batch bound far above one
-// message and a delay of 250ms, the only flush trigger is the timer.
-func TestBatchLatencyBound(t *testing.T) {
-	const delay = 250 * time.Millisecond
-	r := mustStartRouter(t, Config{
-		AS:              65000,
-		ID:              netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:      "127.0.0.1:0",
-		Shards:          2,
-		BatchMaxUpdates: 10000,
-		BatchMaxDelay:   delay,
-		Neighbors:       []NeighborConfig{{AS: 65001}},
-	})
-	defer r.Stop()
-	sp := dialSpeaker(t, r, 65001, "1.1.1.1")
-	defer sp.stop()
-
-	table := GenerateTable(TableGenConfig{N: 1, Seed: 11, FirstAS: 65001})
-	start := time.Now()
-	sp.announce(t, table, 1)
-	waitFor(t, delay+5*time.Second, func() bool { return r.Transactions() >= 1 })
-	if elapsed := time.Since(start); elapsed > delay+2*time.Second {
-		t.Fatalf("lone UPDATE held %v, want <= BatchMaxDelay (%v) plus slack", elapsed, delay)
 	}
 }

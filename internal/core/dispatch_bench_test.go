@@ -6,33 +6,21 @@ import (
 	"time"
 
 	"bgpbench/internal/netaddr"
+	"bgpbench/internal/policy"
 	"bgpbench/internal/rib"
 	"bgpbench/internal/wire"
 )
 
-// benchPeer registers a hand-built established peer on the router,
-// bypassing the TCP session machinery so benchmarks measure only the
-// dispatch and decision paths. Must run before any work is enqueued.
-func benchPeer(r *Router, id netaddr.Addr, as uint32) *peerState {
-	ps := &peerState{
-		info:        rib.PeerInfo{Addr: id, ID: id, AS: as, EBGP: true},
-		afis:        [2]bool{true, true},
-		cfg:         NeighborConfig{AS: as},
-		out:         newOutQueue(),
-		adjOut:      make([]*rib.AdjOut, r.nshards),
-		exportCache: make([]map[exportKey]*wire.PathAttrs, r.nshards),
-		pending:     make([]pendingShard, r.nshards),
-	}
-	for i := range ps.adjOut {
-		ps.adjOut[i] = rib.NewAdjOut()
-		ps.exportCache[i] = make(map[exportKey]*wire.PathAttrs)
-	}
-	ps.downLeft.Store(int32(r.nshards))
-	r.mu.Lock()
-	r.peers[id] = ps
-	r.mu.Unlock()
+// benchPeer registers an established peer on the router and brings it up
+// on every shard synchronously, bypassing the TCP session machinery so
+// benchmarks and model tests drive only the dispatch and decision paths.
+// On an update-groups router the peer joins its export policy's group.
+// Must run while the shard workers are idle.
+func benchPeer(r *Router, id netaddr.Addr, as uint32, export *policy.RouteMap) *peerState {
+	ps := r.register(rib.PeerInfo{Addr: id, ID: id, AS: as, EBGP: true},
+		NeighborConfig{AS: as, Export: export}, [2]bool{true, true}, false, r.nextGen())
 	for i := 0; i < r.nshards; i++ {
-		r.rib.Shard(i).AddPeer(ps.info)
+		r.processPeerUp(i, ps)
 	}
 	return ps
 }
@@ -60,60 +48,45 @@ func waitTxB(b *testing.B, r *Router, target uint64) {
 }
 
 // BenchmarkDispatchUpdate measures the session→shard hot path end to
-// end — dispatch (per message or per batch) plus shard-worker decision
-// processing — for single-prefix UPDATEs across shard counts, with
-// batching off and on.
+// end — batch dispatch plus shard-worker decision processing — for
+// single-prefix UPDATEs across shard counts.
 func BenchmarkDispatchUpdate(b *testing.B) {
 	peerID := netaddr.MustParseAddr("1.1.1.1")
 	for _, shards := range []int{1, 4} {
-		for _, batch := range []int{-1, 256} {
-			mode := "batched"
-			if batch < 0 {
-				mode = "permsg"
-			}
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
-				r, err := NewRouter(Config{
-					AS:              65000,
-					ID:              netaddr.MustParseAddr("10.255.0.1"),
-					Shards:          shards,
-					BatchMaxUpdates: batch,
-					Neighbors:       []NeighborConfig{{AS: 65001}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := r.Start(); err != nil {
-					b.Fatal(err)
-				}
-				defer r.Stop()
-				benchPeer(r, peerID, 65001)
-				upds := benchUpdates(8192, peerID, 65001)
-				h := &routerHandler{r: r}
-				base := r.Transactions()
-
-				b.ReportAllocs()
-				b.ResetTimer()
-				if batch < 0 {
-					for i := 0; i < b.N; i++ {
-						r.dispatchUpdate(peerID, upds[i%len(upds)])
-					}
-				} else {
-					for sent := 0; sent < b.N; {
-						lo := sent % len(upds)
-						hi := lo + batch
-						if hi > len(upds) {
-							hi = len(upds)
-						}
-						if hi-lo > b.N-sent {
-							hi = lo + b.N - sent
-						}
-						r.dispatchUpdateBatch(h, peerID, upds[lo:hi])
-						sent += hi - lo
-					}
-				}
-				waitTxB(b, r, base+uint64(b.N))
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			r, err := NewRouter(Config{
+				AS:        65000,
+				ID:        netaddr.MustParseAddr("10.255.0.1"),
+				Shards:    shards,
+				Neighbors: []NeighborConfig{{AS: 65001}},
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := &routerHandler{r: r, ps: benchPeer(r, peerID, 65001, nil)}
+			if err := r.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer r.Stop()
+			upds := benchUpdates(8192, peerID, 65001)
+			base := r.Transactions()
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			for sent := 0; sent < b.N; {
+				lo := sent % len(upds)
+				hi := lo + DefaultBatchMaxUpdates
+				if hi > len(upds) {
+					hi = len(upds)
+				}
+				if hi-lo > b.N-sent {
+					hi = lo + b.N - sent
+				}
+				r.dispatchUpdateBatch(h, upds[lo:hi])
+				sent += hi - lo
+			}
+			waitTxB(b, r, base+uint64(b.N))
+		})
 	}
 }
 
@@ -133,7 +106,7 @@ func BenchmarkProcessUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchPeer(r, peerID, 65001)
+			ps := benchPeer(r, peerID, 65001, nil)
 			upds := benchUpdates(8192, peerID, 65001)
 
 			b.ReportAllocs()
@@ -147,7 +120,7 @@ func BenchmarkProcessUpdate(b *testing.B) {
 				if hi-lo > b.N-done {
 					hi = lo + b.N - done
 				}
-				r.processUpdateBatch(0, peerID, upds[lo:hi])
+				r.processUpdateBatch(0, ps, upds[lo:hi])
 				done += hi - lo
 			}
 		})

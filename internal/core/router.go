@@ -20,8 +20,10 @@ import (
 	"bgpbench/internal/wire"
 )
 
-// Default batch-dispatch bounds (see Config.BatchMaxUpdates and
-// Config.BatchMaxDelay).
+// The batch bounds every router session delivers UPDATEs under: at most
+// this many consecutive messages per UpdateBatch, none held longer than
+// the delay. Constants, not configuration — a batch of one is the
+// unbatched case, and the benchmark measures exactly these values.
 const (
 	DefaultBatchMaxUpdates = 256
 	DefaultBatchMaxDelay   = 200 * time.Microsecond
@@ -84,17 +86,6 @@ type Config struct {
 	// without cross-shard locking. Defaults to GOMAXPROCS; 1 reproduces
 	// the classic single-decision-worker pipeline.
 	Shards int
-	// BatchMaxUpdates bounds how many consecutive UPDATEs from one
-	// session coalesce into a single shard dispatch: the whole batch is
-	// split by shard once and each shard receives one multi-update work
-	// item, so per-message dispatch overhead amortizes across the batch.
-	// Default 256; negative disables batching (one dispatch per message).
-	BatchMaxUpdates int
-	// BatchMaxDelay bounds how long the session layer may hold a received
-	// UPDATE while a batch accumulates. Default 200µs; negative flushes
-	// whenever the session's event queue idles (batches form only under
-	// backlog). Ignored when batching is disabled.
-	BatchMaxDelay time.Duration
 	// UpdateGroups buckets peers by canonical export-policy key
 	// (rib.GroupKeyFor) so peers with identical export treatment share
 	// one Adj-RIB-Out and one emission pipeline: each route change is
@@ -143,6 +134,9 @@ type peerState struct {
 	// downLeft counts shards that have not yet processed this peer's
 	// teardown; the last one performs the final cleanup.
 	downLeft atomic.Int32
+	// gen orders registrations of the same peer address: the one whose
+	// connection the router took on later has the larger gen (nextGen).
+	gen uint64
 }
 
 type exportKey struct {
@@ -166,6 +160,17 @@ type pendingShard struct {
 // single-process software routers. Peer lifecycle events (up, down,
 // refresh) fan out to every shard; per-session FIFO dispatch keeps each
 // shard's view of a peer ordered (up before its updates before its down).
+//
+// One identity rule covers every peer work item: it carries the
+// *peerState its session registered, and each shard records which
+// peerState currently owns a peer address (shard.owner). When a peer
+// bounces, two sessions' items for the same address interleave on a
+// shard in any order; the successor's Up performs the predecessor's
+// teardown there, and whatever the predecessor still had in flight is
+// dropped and counted (StalePeerWork) instead of landing on the
+// successor's registration. Which of two registrations is the successor
+// is decided by the order the router took their connections on, not by
+// the order their handshakes happened to finish (see register).
 type Router struct {
 	cfg       Config
 	nshards   int
@@ -184,6 +189,7 @@ type Router struct {
 
 	mu       sync.Mutex
 	peers    map[netaddr.Addr]*peerState // keyed by peer BGP ID
+	peerGen  uint64                      // last value nextGen handed out
 	sessions []*session.Session          // all sessions ever attached (for Stop)
 	groups   map[string]*updateGroup     // update groups by canonical export key
 
@@ -194,6 +200,7 @@ type Router struct {
 	dispatchBatches atomic.Uint64 // handler batches dispatched
 	dispatchUpdates atomic.Uint64 // UPDATE messages those batches carried
 	fibChanges      atomic.Uint64
+	stalePeerWork   atomic.Uint64 // peer work items dropped: their peerState no longer owned the address
 
 	// slabPool recycles the arena blocks the shared marshal cache carves
 	// fan-out payloads from (see marshalcache.go).
@@ -219,11 +226,15 @@ type Router struct {
 type shard struct {
 	work chan workItem
 
+	// owner maps a peer address to the registration whose routes this
+	// shard's RIB currently holds under it: set by that peerState's Up,
+	// cleared by its teardown. Worker-owned.
+	owner map[netaddr.Addr]*peerState
+
 	// Scratch owned by the shard worker.
 	fibOps       []fib.Op
 	emit         emitBuf
 	gemit        groupEmitBuf
-	single       []wire.Update // one-element batch for unbatched updates
 	peerScratch  []*peerState
 	groupScratch []*updateGroup
 
@@ -245,8 +256,7 @@ type shard struct {
 type workKind int
 
 const (
-	workUpdate workKind = iota
-	workUpdateBatch
+	workUpdateBatch workKind = iota
 	workPeerUp
 	workPeerDown
 	workRefresh
@@ -258,11 +268,10 @@ const (
 
 type workItem struct {
 	kind   workKind
-	peerID netaddr.Addr
-	update wire.Update
+	peer   *peerState     // with workUpdateBatch/PeerUp/PeerDown/Refresh: the registration the item belongs to
+	peerID netaddr.Addr   // with workAdjOut
 	batch  *dispatchBatch // with workUpdateBatch; returned to the pool by the worker
 	group  *updateGroup   // with workGroupFlush
-	peer   *peerState     // with workPeerDown: the exact registration to tear down
 	reply  chan int
 	dump   chan []LocRoute
 	adj    chan []AdjRoute
@@ -336,18 +345,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: shard count %d must be positive", cfg.Shards)
 	}
-	switch {
-	case cfg.BatchMaxUpdates == 0:
-		cfg.BatchMaxUpdates = DefaultBatchMaxUpdates
-	case cfg.BatchMaxUpdates < 0:
-		cfg.BatchMaxUpdates = 0 // explicit disable
-	}
-	switch {
-	case cfg.BatchMaxDelay == 0:
-		cfg.BatchMaxDelay = DefaultBatchMaxDelay
-	case cfg.BatchMaxDelay < 0:
-		cfg.BatchMaxDelay = 0 // flush on event-queue idle
-	}
 	neighbors := make(map[uint32]NeighborConfig, len(cfg.Neighbors))
 	for _, n := range cfg.Neighbors {
 		if _, dup := neighbors[n.AS]; dup {
@@ -376,7 +373,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.batchPool.New = func() any { return new(dispatchBatch) }
 	r.slabPool.New = func() any { return &payloadSlab{buf: make([]byte, slabSize)} }
 	for i := range r.shards {
-		r.shards[i] = &shard{work: make(chan workItem, 8192)}
+		r.shards[i] = &shard{work: make(chan workItem, 8192), owner: make(map[netaddr.Addr]*peerState)}
 	}
 	if cfg.Damping != nil {
 		r.damper = damping.New(*cfg.Damping, nil)
@@ -500,11 +497,15 @@ func (r *Router) DispatchStats() (batches, updates uint64) {
 	return r.dispatchBatches.Load(), r.dispatchUpdates.Load()
 }
 
-// BatchLimits returns the effective batch-dispatch bounds after
-// defaulting (maxUpdates == 0 means batching is disabled).
-func (r *Router) BatchLimits() (maxUpdates int, maxDelay time.Duration) {
-	return r.cfg.BatchMaxUpdates, r.cfg.BatchMaxDelay
-}
+// StalePeerWork counts peer work items (batches, refreshes, downs) a
+// shard dropped because a successor session had already taken over the
+// peer address: the late tail of a bounced session.
+func (r *Router) StalePeerWork() uint64 { return r.stalePeerWork.Load() }
+
+// RIBUnregisteredDrops counts announcements the RIB refused because
+// their peer was not registered on the shard. The ownership rule makes
+// this unreachable; nonzero means a lifecycle bug.
+func (r *Router) RIBUnregisteredDrops() uint64 { return r.rib.UnregisteredDrops() }
 
 // InternStats reports the path-attribute intern table's size and hit rate.
 func (r *Router) InternStats() wire.InternStats { return r.interner.Stats() }
@@ -607,48 +608,21 @@ func (r *Router) send(i int, w workItem) bool {
 }
 
 // fanOut enqueues a peer lifecycle event on every shard.
-func (r *Router) fanOut(kind workKind, peerID netaddr.Addr) {
+func (r *Router) fanOut(kind workKind, ps *peerState) {
 	for i := range r.shards {
-		if !r.send(i, workItem{kind: kind, peerID: peerID}) {
+		if !r.send(i, workItem{kind: kind, peer: ps}) {
 			return
 		}
 	}
 }
 
-// dispatchUpdate splits an UPDATE's prefixes by owning shard and enqueues
-// the per-shard sub-updates. With one shard the message passes through
-// untouched.
-func (r *Router) dispatchUpdate(peerID netaddr.Addr, u wire.Update) {
-	if r.nshards == 1 {
-		r.send(0, workItem{kind: workUpdate, peerID: peerID, update: u})
-		return
-	}
-	subs := make([]wire.Update, r.nshards)
-	for _, p := range u.Withdrawn {
-		si := rib.ShardOf(p, r.nshards)
-		subs[si].Withdrawn = append(subs[si].Withdrawn, p)
-	}
-	for _, p := range u.NLRI {
-		si := rib.ShardOf(p, r.nshards)
-		subs[si].NLRI = append(subs[si].NLRI, p)
-	}
-	for i := range subs {
-		if len(subs[i].Withdrawn) == 0 && len(subs[i].NLRI) == 0 {
-			continue
-		}
-		subs[i].Attrs = u.Attrs
-		if !r.send(i, workItem{kind: workUpdate, peerID: peerID, update: subs[i]}) {
-			return
-		}
-	}
-}
-
-// dispatchUpdateBatch splits a whole session-level batch of UPDATEs by
-// owning shard in one pass and enqueues at most one pooled multi-update
-// work item per shard, so dispatch cost amortizes across the batch
-// instead of being paid per message. h's split scratch is safe to reuse:
-// session callbacks are serialized and each session owns its handler.
-func (r *Router) dispatchUpdateBatch(h *routerHandler, peerID netaddr.Addr, us []wire.Update) {
+// dispatchUpdateBatch is the one session→shard path: it splits a
+// session-level batch of UPDATEs (a batch of one included) by owning
+// shard in one pass and enqueues at most one pooled multi-update work
+// item per shard, so dispatch cost amortizes across the batch instead of
+// being paid per message. h's split scratch is safe to reuse: session
+// callbacks are serialized and each session owns its handler.
+func (r *Router) dispatchUpdateBatch(h *routerHandler, us []wire.Update) {
 	r.dispatchBatches.Add(1)
 	r.dispatchUpdates.Add(uint64(len(us)))
 	if r.nshards == 1 {
@@ -658,7 +632,7 @@ func (r *Router) dispatchUpdateBatch(h *routerHandler, peerID netaddr.Addr, us [
 		b := r.getBatch()
 		b.updates = append(b.updates[:0], us...)
 		//bgplint:allow(pooledbuf) reason=audited ownership transfer: the shard worker Puts the batch after processing; the failure branch Puts it here
-		if !r.send(0, workItem{kind: workUpdateBatch, peerID: peerID, batch: b}) {
+		if !r.send(0, workItem{kind: workUpdateBatch, peer: h.ps, batch: b}) {
 			r.putBatch(b)
 		}
 		return
@@ -709,7 +683,7 @@ func (r *Router) dispatchUpdateBatch(h *routerHandler, peerID netaddr.Addr, us [
 			continue
 		}
 		batches[i] = nil
-		if !r.send(i, workItem{kind: workUpdateBatch, peerID: peerID, batch: b}) {
+		if !r.send(i, workItem{kind: workUpdateBatch, peer: h.ps, batch: b}) {
 			r.putBatch(b)
 		}
 	}
@@ -747,10 +721,10 @@ func (r *Router) startSession(n NeighborConfig, label string) *session.Session {
 			Passive:  passive,
 		},
 		DialTarget:      n.DialTarget,
-		Handler:         &routerHandler{r: r},
+		Handler:         &routerHandler{r: r, gen: r.nextGen()},
 		Name:            name,
-		BatchMaxUpdates: r.cfg.BatchMaxUpdates,
-		BatchMaxDelay:   r.cfg.BatchMaxDelay,
+		BatchMaxUpdates: DefaultBatchMaxUpdates,
+		BatchMaxDelay:   DefaultBatchMaxDelay,
 	})
 	r.mu.Lock()
 	r.sessions = append(r.sessions, s)
@@ -759,9 +733,17 @@ func (r *Router) startSession(n NeighborConfig, label string) *session.Session {
 	return s
 }
 
-// routerHandler adapts session callbacks onto the shard work queues.
+// routerHandler adapts session callbacks onto the shard work queues. It
+// implements session.BatchHandler, so the session never calls Update.
 type routerHandler struct {
+	session.NopHandler
 	r *Router
+	// gen is the session's place in the order the router took its
+	// connections on (accept order, for inbound sessions).
+	gen uint64
+	// ps is the registration Established made for this session; every
+	// work item the session produces afterwards carries it.
+	ps *peerState
 	// Batch-split scratch, reused across UpdateBatch calls. Callbacks are
 	// serialized per session and each session owns its handler, so no
 	// locking is needed.
@@ -782,16 +764,58 @@ func (h *routerHandler) Established(s *session.Session) {
 		go s.Stop()
 		return
 	}
+	info := rib.PeerInfo{
+		Addr: open.ID, // loopback benches reuse IPs; the BGP ID is unique
+		ID:   open.ID,
+		AS:   peerAS,
+		EBGP: peerAS != r.cfg.AS,
+	}
+	ps := r.register(info, ncfg, s.NegotiatedFamilies(), s.FourOctetAS(), h.gen)
+	if ps == nil {
+		// The peer has since connected again: this is the connection it
+		// abandoned, finishing its handshake late.
+		go s.Stop()
+		return
+	}
+	ps.sess = s
+	h.ps = ps
+
+	r.wg.Add(1)
+	go r.sender(ps)
+	if r.cfg.MRAI > 0 && ps.group == nil {
+		// Grouped peers flush through their group's flusher instead.
+		r.wg.Add(1)
+		go r.mraiFlusher(ps)
+	}
+
+	r.fanOut(workPeerUp, ps)
+}
+
+// nextGen numbers the connections the router takes on, in order.
+func (r *Router) nextGen() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.peerGen++
+	return r.peerGen
+}
+
+// register builds the peerState for a newly established peer and makes
+// it the router-level registration for the peer's address, superseding
+// a bounced predecessor's. Shards learn of it from its workPeerUp.
+//
+// It returns nil when the address is already registered from a newer
+// connection. Establishment order does not say which transport a
+// bounced peer still holds: the connection it abandoned can finish its
+// handshake here after its replacement did, and would then replace the
+// live registration and tear it down again on its own EOF. Connection
+// order does say: a peer dials again only after giving the old
+// connection up, so the later connection is the one it holds.
+func (r *Router) register(info rib.PeerInfo, ncfg NeighborConfig, afis [2]bool, as4 bool, gen uint64) *peerState {
 	ps := &peerState{
-		info: rib.PeerInfo{
-			Addr: open.ID, // loopback benches reuse IPs; the BGP ID is unique
-			ID:   open.ID,
-			AS:   peerAS,
-			EBGP: peerAS != r.cfg.AS,
-		},
-		afis:        s.NegotiatedFamilies(),
+		info:        info,
+		afis:        afis,
 		cfg:         ncfg,
-		sess:        s,
+		gen:         gen,
 		out:         newOutQueue(),
 		adjOut:      make([]*rib.AdjOut, r.nshards),
 		exportCache: make([]map[exportKey]*wire.PathAttrs, r.nshards),
@@ -804,69 +828,43 @@ func (h *routerHandler) Established(s *session.Session) {
 	if r.cfg.UpdateGroups {
 		// The wire mode and negotiated family set are part of the group
 		// identity: fan-out shares marshaled bytes, which depend on both.
-		ps.group = r.groupFor(ps.info.EBGP, ncfg.Export, s.FourOctetAS(), ps.afis)
+		ps.group = r.groupFor(info.EBGP, ncfg.Export, as4, afis)
 	}
 	ps.downLeft.Store(int32(r.nshards))
 	r.mu.Lock()
-	if old, exists := r.peers[open.ID]; exists {
+	defer r.mu.Unlock()
+	if old, exists := r.peers[info.Addr]; exists {
+		if old.gen > gen {
+			return nil
+		}
 		old.out.close()
 	}
-	r.peers[open.ID] = ps
-	r.mu.Unlock()
-
-	r.wg.Add(1)
-	go r.sender(ps)
-	if r.cfg.MRAI > 0 && ps.group == nil {
-		// Grouped peers flush through their group's flusher instead.
-		r.wg.Add(1)
-		go r.mraiFlusher(ps)
-	}
-
-	r.fanOut(workPeerUp, open.ID)
-}
-
-// Update queues a received UPDATE for the decision workers (the
-// unbatched path, used when Config.BatchMaxUpdates disables batching).
-func (h *routerHandler) Update(s *session.Session, u wire.Update) {
-	h.r.dispatchUpdate(s.PeerOpen().ID, u)
+	r.peers[info.Addr] = ps
+	return ps
 }
 
 // UpdateBatch queues a session-level batch of consecutive UPDATEs for
-// the decision workers as one per-shard dispatch.
-func (h *routerHandler) UpdateBatch(s *session.Session, us []wire.Update) {
-	h.r.dispatchUpdateBatch(h, s.PeerOpen().ID, us)
+// the decision workers as one per-shard dispatch. h.ps is nil only for
+// a session Established refused and is stopping; whatever it still
+// delivers is ignored.
+func (h *routerHandler) UpdateBatch(_ *session.Session, us []wire.Update) {
+	if h.ps != nil {
+		h.r.dispatchUpdateBatch(h, us)
+	}
 }
 
 // Refresh re-sends the peer's Adj-RIB-Out on a ROUTE-REFRESH request
 // (RFC 2918).
-func (h *routerHandler) Refresh(s *session.Session, _ wire.RouteRefresh) {
-	h.r.fanOut(workRefresh, s.PeerOpen().ID)
+func (h *routerHandler) Refresh(*session.Session, wire.RouteRefresh) {
+	if h.ps != nil {
+		h.r.fanOut(workRefresh, h.ps)
+	}
 }
 
-// Down unregisters the peer and withdraws its routes. The teardown is
-// bound to this session's exact peerState, resolved here before the work
-// items are enqueued: a peer that bounces fast can re-establish while the
-// old session's down event is still in flight, and resolving by BGP ID at
-// processing time would tear down the replacement's registration instead
-// (dropping its group membership and corrupting its shard-down counter).
-func (h *routerHandler) Down(s *session.Session, _ error) {
-	id := s.PeerOpen().ID
-	r := h.r
-	r.mu.Lock()
-	ps := r.peers[id]
-	r.mu.Unlock()
-	if ps == nil || ps.sess != s {
-		// A newer session already owns (or tore down) this slot; that
-		// registration replaced ours wholesale, so there is nothing left
-		// to unwind for this session. Routes the old session announced
-		// stay keyed by the shared peer address and are overwritten as the
-		// replacement session re-announces.
-		return
-	}
-	for i := range r.shards {
-		if !r.send(i, workItem{kind: workPeerDown, peerID: id, peer: ps}) {
-			return
-		}
+// Down withdraws the routes of the registration this session made.
+func (h *routerHandler) Down(*session.Session, error) {
+	if h.ps != nil {
+		h.r.fanOut(workPeerDown, h.ps)
 	}
 }
 
@@ -947,18 +945,21 @@ func (r *Router) shardWorker(i int) {
 // handleWork dispatches one work item on shard i's worker.
 func (r *Router) handleWork(i int, s *shard, w workItem) {
 	switch w.kind {
-	case workUpdate:
-		s.single = append(s.single[:0], w.update)
-		r.processUpdateBatch(i, w.peerID, s.single)
 	case workUpdateBatch:
-		r.processUpdateBatch(i, w.peerID, w.batch.updates)
+		if r.owns(s, w.peer) {
+			r.processUpdateBatch(i, w.peer, w.batch.updates)
+		}
 		r.putBatch(w.batch)
 	case workPeerUp:
-		r.processPeerUp(i, w.peerID)
+		r.processPeerUp(i, w.peer)
 	case workPeerDown:
-		r.processPeerDown(i, w.peer)
+		if r.owns(s, w.peer) {
+			r.processPeerDown(i, w.peer)
+		}
 	case workRefresh:
-		r.processRefresh(i, w.peerID)
+		if r.owns(s, w.peer) {
+			r.processRefresh(i, w.peer)
+		}
 	case workGroupFlush:
 		r.processGroupFlush(i, w.group)
 	case workRIBLen:
@@ -972,7 +973,7 @@ func (r *Router) handleWork(i int, s *shard, w workItem) {
 		w.dump <- routes
 	case workAdjOut:
 		var routes []AdjRoute
-		if ps := r.peerByID(w.peerID); ps != nil {
+		if ps := s.owner[w.peerID]; ps != nil {
 			collect := func(p netaddr.Prefix, attrs *wire.PathAttrs) bool {
 				routes = append(routes, AdjRoute{Prefix: p, Attrs: attrs})
 				return true
@@ -981,13 +982,9 @@ func (r *Router) handleWork(i int, s *shard, w workItem) {
 				// Grouped peer: its logical Adj-RIB-Out is the group
 				// table minus its own originations. A dump is a barrier,
 				// so any catch-up still filling the table (or replaying
-				// it to a member) completes first. The table can be nil
-				// for an instant between peer registration and this
-				// shard's workPeerUp; that reads as empty.
+				// it to a member) completes first.
 				r.drainGroupCatchups(i, s, ps.group)
-				if gsh := &ps.group.shards[i]; gsh.adjOut != nil {
-					gsh.adjOut.WalkMember(ps.info.Addr, collect)
-				}
+				ps.group.shards[i].adjOut.WalkMember(ps.info.Addr, collect)
 			} else {
 				ps.adjOut[i].Walk(collect)
 			}
@@ -996,10 +993,16 @@ func (r *Router) handleWork(i int, s *shard, w workItem) {
 	}
 }
 
-func (r *Router) peerByID(id netaddr.Addr) *peerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.peers[id]
+// owns reports whether ps is the registration that currently owns its
+// peer address on shard s. When it is not, the item being handled is
+// the late tail of a bounced session — its successor's Up already tore
+// the predecessor down here — and is dropped and counted.
+func (r *Router) owns(s *shard, ps *peerState) bool {
+	if s.owner[ps.info.Addr] == ps {
+		return true
+	}
+	r.stalePeerWork.Add(1)
+	return false
 }
 
 // snapshotPeersInto appends the current established peers to buf,
@@ -1026,21 +1029,35 @@ func (r *Router) putBatch(b *dispatchBatch) {
 	r.batchPool.Put(b)
 }
 
-// processPeerUp registers the peer in shard si's RIB and exports the
-// shard's Loc-RIB slice to it (Phase 2 of the benchmark methodology).
-func (r *Router) processPeerUp(si int, id netaddr.Addr) {
-	ps := r.peerByID(id)
-	if ps == nil {
-		return
+// processPeerUp makes ps the owner of its peer address on shard si —
+// first performing the teardown of a predecessor still registered there,
+// whose own Down is then stale — registers the peer in the shard's RIB
+// and exports the shard's Loc-RIB slice to it (Phase 2 of the benchmark
+// methodology). An Up overtaken by a newer registration's Up (the two
+// handlers' fan-outs are not ordered against each other) is itself the
+// stale item.
+func (r *Router) processPeerUp(si int, ps *peerState) {
+	s := r.shards[si]
+	if prev := s.owner[ps.info.Addr]; prev != nil {
+		if prev.gen > ps.gen {
+			r.stalePeerWork.Add(1)
+			return
+		}
+		r.processPeerDown(si, prev)
 	}
+	s.owner[ps.info.Addr] = ps
+	r.rib.Shard(si).AddPeer(ps.info)
 	if ps.group != nil {
 		r.processPeerUpGrouped(si, ps)
 		return
 	}
-	shardRIB := r.rib.Shard(si)
-	shardRIB.AddPeer(ps.info)
+	r.exportLocRIB(si, ps)
+}
 
-	// Initial table transfer: batch routes sharing an attribute block.
+// exportLocRIB sends shard si's Loc-RIB slice to an ungrouped peer,
+// skipping what its Adj-RIB-Out partition already advertises.
+func (r *Router) exportLocRIB(si int, ps *peerState) {
+	// Table transfer: batch routes sharing an attribute block.
 	// Attrs are interned, so "same block" is a pointer comparison.
 	var batch []netaddr.Prefix
 	var batchAttrs *wire.PathAttrs
@@ -1051,7 +1068,7 @@ func (r *Router) processPeerUp(si int, id netaddr.Addr) {
 		ps.out.push(wire.Update{Attrs: *batchAttrs, NLRI: append([]netaddr.Prefix(nil), batch...)})
 		batch = batch[:0]
 	}
-	shardRIB.WalkLoc(func(p netaddr.Prefix, c rib.Candidate) bool {
+	r.rib.Shard(si).WalkLoc(func(p netaddr.Prefix, c rib.Candidate) bool {
 		attrs, ok := r.exportAttrs(si, ps, p, c)
 		if !ok {
 			return true
@@ -1074,11 +1091,7 @@ func (r *Router) processPeerUp(si int, id netaddr.Addr) {
 // processRefresh rebuilds and re-sends shard si's partition of the peer's
 // Adj-RIB-Out from scratch: the RFC 2918 response to a ROUTE-REFRESH
 // request, fanned out across shards.
-func (r *Router) processRefresh(si int, id netaddr.Addr) {
-	ps := r.peerByID(id)
-	if ps == nil {
-		return
-	}
+func (r *Router) processRefresh(si int, ps *peerState) {
 	if ps.group != nil {
 		// Grouped peer: the shared table is authoritative; schedule a
 		// chunked replay of the member's view of it. Other members are
@@ -1094,26 +1107,21 @@ func (r *Router) processRefresh(si int, id netaddr.Addr) {
 	sh.m = nil
 	sh.mu.Unlock()
 	ps.adjOut[si] = rib.NewAdjOut()
-	r.processPeerUp(si, id)
+	r.exportLocRIB(si, ps)
 }
 
-// processPeerDown withdraws everything the peer contributed to shard si;
-// the last shard to finish performs the final peer cleanup. ps is the
-// exact registration the downed session owned (resolved by the session
-// handler, not re-looked-up by ID here), so a slot a replacement session
-// has since taken over is never torn down by its predecessor's event.
+// processPeerDown releases ps's ownership of its peer address on shard
+// si and withdraws everything it contributed there; the last shard to
+// finish performs the final peer cleanup. The caller has established
+// that ps is the shard's owner, so this runs exactly once per shard per
+// registration: from the peer's own Down, or from its successor's Up.
 func (r *Router) processPeerDown(si int, ps *peerState) {
-	if ps == nil {
-		return
-	}
+	delete(r.shards[si].owner, ps.info.Addr)
 	if g := ps.group; g != nil {
 		// Leave the group first so the teardown withdrawals fan out only
-		// to the surviving members. Guarded by identity: a re-established
-		// session may already have replaced this membership slot.
+		// to the surviving members.
 		sh := &g.shards[si]
-		if sh.members[ps.info.Addr] == ps {
-			delete(sh.members, ps.info.Addr)
-		}
+		delete(sh.members, ps.info.Addr)
 		// Drop catch-ups that can no longer deliver anything: the
 		// member's own replay, and — once the shard has no members — any
 		// rebuild of the group's table (a future first member resets the
@@ -1156,11 +1164,7 @@ func (r *Router) processPeerDown(si int, ps *peerState) {
 // shard-local sub-updates from one peer, run-to-completion: FIB ops,
 // Adj-RIB-Out emissions, MRAI merges, and transaction counts accumulate
 // across the whole batch and each flushes exactly once at batch end.
-func (r *Router) processUpdateBatch(si int, id netaddr.Addr, us []wire.Update) {
-	ps := r.peerByID(id)
-	if ps == nil {
-		return
-	}
+func (r *Router) processUpdateBatch(si int, ps *peerState, us []wire.Update) {
 	s := r.shards[si]
 	r.snapshotEmitTargets(s)
 	ops := s.fibOps[:0]

@@ -15,20 +15,11 @@ import (
 // then a partial withdrawal — and returns the settled Loc-RIB and FIB.
 func runShardedWorkload(t *testing.T, shards int) ([]LocRoute, map[netaddr.Prefix]fib.Entry) {
 	t.Helper()
-	return runShardedWorkloadBatch(t, shards, 0, 0)
-}
-
-// runShardedWorkloadBatch is runShardedWorkload with explicit
-// batched-dispatch knobs (0 = router defaults, negative = disabled).
-func runShardedWorkloadBatch(t *testing.T, shards, batchUpdates int, batchDelay time.Duration) ([]LocRoute, map[netaddr.Prefix]fib.Entry) {
-	t.Helper()
 	r := mustStartRouter(t, Config{
-		AS:              65000,
-		ID:              netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:      "127.0.0.1:0",
-		Shards:          shards,
-		BatchMaxUpdates: batchUpdates,
-		BatchMaxDelay:   batchDelay,
+		AS:         65000,
+		ID:         netaddr.MustParseAddr("10.255.0.1"),
+		ListenAddr: "127.0.0.1:0",
+		Shards:     shards,
 		Neighbors: []NeighborConfig{
 			{AS: 65001},
 			{AS: 65002},

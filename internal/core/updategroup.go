@@ -494,7 +494,6 @@ func (r *Router) groupFlusher(g *updateGroup) {
 func (r *Router) processPeerUpGrouped(si int, ps *peerState) {
 	g := ps.group
 	sh := &g.shards[si]
-	r.rib.Shard(si).AddPeer(ps.info)
 	if sh.members == nil {
 		sh.members = make(map[netaddr.Addr]*peerState)
 	}

@@ -244,11 +244,11 @@ func BenchmarkGroupRebuild(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchPeer(r, feederID, 65001)
+			feeder := benchPeer(r, feederID, 65001, nil)
 			table := groupTestTable(n)
-			r.processUpdateBatch(0, feederID, Updates(table, feederID, 500))
+			r.processUpdateBatch(0, feeder, Updates(table, feederID, 500))
 
-			recv := benchGroupPeer(r, netaddr.AddrFrom4(10, 9, 0, 1), 65100, medPolicy(0))
+			recv := benchPeer(r, netaddr.AddrFrom4(10, 9, 0, 1), 65100, medPolicy(0))
 			s := r.shards[0]
 			drain := func() {
 				for len(s.catchups) > 0 {

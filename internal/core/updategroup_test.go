@@ -11,7 +11,6 @@ import (
 	"bgpbench/internal/fsm"
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/policy"
-	"bgpbench/internal/rib"
 	"bgpbench/internal/session"
 	"bgpbench/internal/wire"
 )
@@ -432,34 +431,6 @@ func TestGroupStressChurnAliasing(t *testing.T) {
 	}
 }
 
-// benchGroupPeer registers a hand-built established peer with update-
-// group membership, bypassing the TCP session machinery (the grouped
-// analogue of benchPeer). Must run before any work is enqueued.
-func benchGroupPeer(r *Router, id netaddr.Addr, as uint32, export *policy.RouteMap) *peerState {
-	ps := &peerState{
-		info:        rib.PeerInfo{Addr: id, ID: id, AS: as, EBGP: true},
-		afis:        [2]bool{true, true},
-		cfg:         NeighborConfig{AS: as, Export: export},
-		out:         newOutQueue(),
-		adjOut:      make([]*rib.AdjOut, r.nshards),
-		exportCache: make([]map[exportKey]*wire.PathAttrs, r.nshards),
-		pending:     make([]pendingShard, r.nshards),
-	}
-	for i := range ps.adjOut {
-		ps.adjOut[i] = rib.NewAdjOut()
-		ps.exportCache[i] = make(map[exportKey]*wire.PathAttrs)
-	}
-	ps.downLeft.Store(int32(r.nshards))
-	ps.group = r.groupFor(true, export, false, ps.afis)
-	r.mu.Lock()
-	r.peers[id] = ps
-	r.mu.Unlock()
-	for i := 0; i < r.nshards; i++ {
-		r.processPeerUpGrouped(i, ps)
-	}
-	return ps
-}
-
 // drainOut empties every receiver's outbound queue, releasing shared
 // payload references so pooled marshal buffers recycle as they would on
 // a live session's write path.
@@ -505,16 +476,11 @@ func BenchmarkEmitGrouped(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchPeer(r, feederID, 65001)
+			feeder := benchPeer(r, feederID, 65001, nil)
 			receivers := make([]*peerState, peers)
 			for i := range receivers {
 				id := netaddr.AddrFrom4(10, 9, byte(i/200), byte(i%200+1))
-				if grouped {
-					receivers[i] = benchGroupPeer(r, id, uint32(65100+i), medPolicy(i%groups))
-				} else {
-					receivers[i] = benchPeer(r, id, uint32(65100+i))
-					receivers[i].cfg.Export = medPolicy(i % groups)
-				}
+				receivers[i] = benchPeer(r, id, uint32(65100+i), medPolicy(i%groups))
 			}
 
 			// Two alternating attribute variants of the same prefixes, so
@@ -541,7 +507,7 @@ func BenchmarkEmitGrouped(b *testing.B) {
 				if hi-off > b.N-done {
 					hi = off + b.N - done
 				}
-				r.processUpdateBatch(0, feederID, upds[off:hi])
+				r.processUpdateBatch(0, feeder, upds[off:hi])
 				drainOut(receivers)
 				done += hi - off
 				off = hi

@@ -299,8 +299,19 @@ func (f *FSM) inOpenConfirm(ev Event) []Action {
 	case EvKeepaliveTimerExpires:
 		return []Action{{Type: ActSendKeepalive}, {Type: ActStartKeepalive}}
 	case EvTCPConnFails:
-		f.to(Idle)
-		return []Action{{Type: ActCloseConn}}
+		if f.cfg.Passive {
+			// Nothing to re-dial: acceptors run a fresh session per
+			// inbound connection.
+			f.to(Idle)
+			return []Action{{Type: ActCloseConn}}
+		}
+		// Recover exactly as OpenSent does. The peer's OPEN can be
+		// processed before our own failed OPEN write is, so a transport
+		// lost mid-handshake is seen here as often as there; Idle would
+		// end the session with no Down reported (it was never up) and
+		// nothing left to re-dial.
+		f.to(Active)
+		return []Action{{Type: ActStopHold}, {Type: ActStopKeepalive}, {Type: ActStartConnectRetry}}
 	case EvManualStop:
 		return f.cease()
 	default:

@@ -142,6 +142,40 @@ func TestConnectionRetry(t *testing.T) {
 	}
 }
 
+// TestTransportLossBeforeEstablishedRetries: an active session that loses
+// its transport anywhere in the handshake must come back to Active with
+// the retry timer armed — from OpenConfirm as from OpenSent, because the
+// peer's OPEN can be handled before the local write failure is. A
+// passive session has nothing to re-dial and ends.
+func TestTransportLossBeforeEstablishedRetries(t *testing.T) {
+	for _, upTo := range []State{OpenSent, OpenConfirm} {
+		f := New(testConfig())
+		f.Handle(Event{Type: EvManualStart})
+		f.Handle(Event{Type: EvTCPConnEstablished})
+		if upTo == OpenConfirm {
+			f.Handle(Event{Type: EvMsgOpen, Open: peerOpen(65002, 90)})
+		}
+		if f.State() != upTo {
+			t.Fatalf("setup reached %v, want %v", f.State(), upTo)
+		}
+		acts := f.Handle(Event{Type: EvTCPConnFails})
+		if f.State() != Active || !hasAction(acts, ActStartConnectRetry) {
+			t.Errorf("conn fail in %v: state=%v acts=%v, want Active with the retry timer armed", upTo, f.State(), acts)
+		}
+	}
+
+	cfg := testConfig()
+	cfg.Passive = true
+	f := New(cfg)
+	f.Handle(Event{Type: EvManualStart})
+	f.Handle(Event{Type: EvTCPConnEstablished})
+	f.Handle(Event{Type: EvMsgOpen, Open: peerOpen(65002, 90)})
+	acts := f.Handle(Event{Type: EvTCPConnFails})
+	if f.State() != Idle || !hasAction(acts, ActCloseConn) {
+		t.Errorf("passive conn fail in OpenConfirm: state=%v acts=%v, want Idle", f.State(), acts)
+	}
+}
+
 func TestUpdateDelivery(t *testing.T) {
 	f := New(testConfig())
 	driveToEstablished(t, f)

@@ -9,6 +9,7 @@ package rib
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/wire"
@@ -50,6 +51,11 @@ type RIB struct {
 	loc   map[netaddr.Prefix]*locEntry
 
 	decisions uint64 // decision process invocations, for benchmarks
+
+	// unregisteredDrops counts announcements refused because their peer
+	// was not registered. Atomic: metrics scrape it while the owning
+	// worker runs.
+	unregisteredDrops atomic.Uint64
 }
 
 // New returns an empty RIB.
@@ -60,8 +66,8 @@ func New() *RIB {
 	}
 }
 
-// AddPeer registers a peer so its routes can be tracked. Announcing from
-// an unregistered peer panics: it indicates a session-layer bug.
+// AddPeer registers a peer so its routes can be tracked. Announcements
+// from an unregistered peer are dropped and counted (UnregisteredDrops).
 func (r *RIB) AddPeer(p PeerInfo) {
 	r.peers[p.Addr] = p
 }
@@ -80,11 +86,14 @@ func (r *RIB) Peers() []PeerInfo {
 // and runs the decision process for the prefix. attrs should be a
 // canonical pointer (wire.Intern) shared across prefixes with the same
 // path; the RIB stores it without copying. It returns the Loc-RIB change,
-// if any.
+// if any. An announcement from an unregistered peer means the caller's
+// peer lifecycle is broken; a router under test must not die of it, so
+// the route is dropped and counted instead.
 func (r *RIB) Announce(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.PathAttrs) (Change, bool) {
 	pi, ok := r.peers[peer]
 	if !ok {
-		panic(fmt.Sprintf("rib: announce from unregistered peer %v", peer))
+		r.unregisteredDrops.Add(1)
+		return Change{}, false
 	}
 	e := r.loc[prefix]
 	if e == nil {
@@ -225,6 +234,11 @@ func (r *RIB) Len() int { return len(r.loc) }
 
 // Decisions returns the number of decision-process invocations.
 func (r *RIB) Decisions() uint64 { return r.decisions }
+
+// UnregisteredDrops returns how many announcements were dropped because
+// their peer was not registered. Nonzero means a lifecycle bug upstream.
+// Safe to call from any goroutine.
+func (r *RIB) UnregisteredDrops() uint64 { return r.unregisteredDrops.Load() }
 
 // WalkLoc visits every Loc-RIB best route in prefix order until fn returns
 // false. The ordering makes Phase 2 advertisement streams deterministic.

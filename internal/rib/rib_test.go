@@ -49,13 +49,34 @@ func TestAnnounceWithdrawLifecycle(t *testing.T) {
 	}
 }
 
-func TestAnnounceFromUnregisteredPeerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New().Announce(peerA.Addr, pfx("10.0.0.0/8"), baseAttrs(1))
+// TestAnnounceFromUnregisteredPeerDropped: the data path never panics.
+// An announcement from a peer the RIB does not know (or no longer knows,
+// after RemovePeer) is refused, leaves the Loc-RIB untouched, and is
+// counted — per RIB and summed by Sharded.
+func TestAnnounceFromUnregisteredPeerDropped(t *testing.T) {
+	sh := NewSharded(2)
+	p := pfx("10.0.0.0/8")
+	r := sh.ShardFor(p)
+	if ch, ok := r.Announce(peerA.Addr, p, baseAttrs(1)); ok {
+		t.Fatalf("unregistered announce produced change %v", ch)
+	}
+	r.AddPeer(peerA)
+	if _, ok := r.Announce(peerA.Addr, p, baseAttrs(1)); !ok {
+		t.Fatal("registered announce refused")
+	}
+	r.RemovePeer(peerA.Addr)
+	if _, ok := r.Announce(peerA.Addr, p, baseAttrs(1)); ok {
+		t.Fatal("announce after RemovePeer accepted")
+	}
+	if r.Len() != 0 || len(r.Candidates(p)) != 0 {
+		t.Fatalf("dropped announcements left state: len=%d cands=%v", r.Len(), r.Candidates(p))
+	}
+	if got := r.UnregisteredDrops(); got != 2 {
+		t.Fatalf("RIB.UnregisteredDrops = %d, want 2", got)
+	}
+	if got := sh.UnregisteredDrops(); got != 2 {
+		t.Fatalf("Sharded.UnregisteredDrops = %d, want 2", got)
+	}
 }
 
 func TestTwoPeersBestSelection(t *testing.T) {

@@ -79,6 +79,16 @@ func (s *Sharded) Decisions() uint64 {
 	return n
 }
 
+// UnregisteredDrops sums the shards' dropped-announcement counts; unlike
+// the other aggregates it is safe while the shards run.
+func (s *Sharded) UnregisteredDrops() uint64 {
+	var n uint64
+	for _, r := range s.shards {
+		n += r.UnregisteredDrops()
+	}
+	return n
+}
+
 // WalkLoc visits every best route across all shards in global prefix
 // order until fn returns false.
 func (s *Sharded) WalkLoc(fn func(netaddr.Prefix, Candidate) bool) {

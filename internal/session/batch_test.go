@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -91,40 +92,44 @@ func testPrefix(i int) netaddr.Prefix {
 
 // TestBatchedDelivery: a BatchHandler must receive every UPDATE exactly
 // once, in arrival order, with no batch exceeding BatchMaxUpdates, and
-// none of them via the plain Update callback.
+// none of them via the plain Update callback. A bound of one is the
+// degenerate case: per-message delivery, still through UpdateBatch.
 func TestBatchedDelivery(t *testing.T) {
-	const maxBatch = 8
-	active, bc, cleanup := startBatchPair(t, maxBatch, time.Millisecond)
-	defer cleanup()
+	for _, maxBatch := range []int{1, 8} {
+		t.Run(fmt.Sprintf("max=%d", maxBatch), func(t *testing.T) {
+			active, bc, cleanup := startBatchPair(t, maxBatch, time.Millisecond)
+			defer cleanup()
 
-	const n = 500
-	attrs := wire.NewPathAttrs(wire.OriginIGP, wire.NewASPath(65001), netaddr.MustParseAddr("10.0.0.1"))
-	for i := 0; i < n; i++ {
-		u := wire.Update{Attrs: attrs, NLRI: []netaddr.Prefix{testPrefix(i)}}
-		if err := active.Send(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got := 0
-	deadline := time.After(10 * time.Second)
-	for got < n {
-		select {
-		case batch := <-bc.batches:
-			if len(batch) == 0 || len(batch) > maxBatch {
-				t.Fatalf("batch size %d, want 1..%d", len(batch), maxBatch)
-			}
-			for _, u := range batch {
-				if len(u.NLRI) != 1 || u.NLRI[0] != testPrefix(got) {
-					t.Fatalf("update %d out of order: got %v, want %v", got, u.NLRI, testPrefix(got))
+			const n = 500
+			attrs := wire.NewPathAttrs(wire.OriginIGP, wire.NewASPath(65001), netaddr.MustParseAddr("10.0.0.1"))
+			for i := 0; i < n; i++ {
+				u := wire.Update{Attrs: attrs, NLRI: []netaddr.Prefix{testPrefix(i)}}
+				if err := active.Send(u); err != nil {
+					t.Fatal(err)
 				}
-				got++
 			}
-		case u := <-bc.updates:
-			t.Fatalf("plain Update callback fired (%v) despite BatchHandler", u.NLRI)
-		case <-deadline:
-			t.Fatalf("received %d/%d updates", got, n)
-		}
+
+			got := 0
+			deadline := time.After(10 * time.Second)
+			for got < n {
+				select {
+				case batch := <-bc.batches:
+					if len(batch) == 0 || len(batch) > maxBatch {
+						t.Fatalf("batch size %d, want 1..%d", len(batch), maxBatch)
+					}
+					for _, u := range batch {
+						if len(u.NLRI) != 1 || u.NLRI[0] != testPrefix(got) {
+							t.Fatalf("update %d out of order: got %v, want %v", got, u.NLRI, testPrefix(got))
+						}
+						got++
+					}
+				case u := <-bc.updates:
+					t.Fatalf("plain Update callback fired (%v) despite BatchHandler", u.NLRI)
+				case <-deadline:
+					t.Fatalf("received %d/%d updates", got, n)
+				}
+			}
+		})
 	}
 }
 
@@ -180,7 +185,17 @@ func TestBatchFlushBeforeDown(t *testing.T) {
 		case batch := <-bc.batches:
 			got += len(batch)
 		case <-bc.downs:
-			// Down must arrive after every queued update.
+			// Down must arrive after every queued update. Both channels
+			// are buffered, so select can see Down first even though the
+			// batch was sent before it: count what is already queued.
+			for queued := true; queued; {
+				select {
+				case batch := <-bc.batches:
+					got += len(batch)
+				default:
+					queued = false
+				}
+			}
 			if got != n {
 				t.Fatalf("Down before flush: %d/%d updates delivered", got, n)
 			}

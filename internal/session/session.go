@@ -38,9 +38,9 @@ type RefreshHandler interface {
 }
 
 // BatchHandler is optionally implemented by Handlers that want coalesced
-// UPDATE delivery: when the session's Config enables batching
-// (BatchMaxUpdates > 0), consecutive received UPDATEs are accumulated and
-// delivered as one UpdateBatch call instead of per-message Update calls.
+// UPDATE delivery: consecutive received UPDATEs are accumulated (bounded
+// by Config.BatchMaxUpdates and Config.BatchMaxDelay) and delivered as
+// one UpdateBatch call; Update is then never called.
 //
 // Ordering guarantees: updates appear in the batch in arrival order, and
 // any pending batch is flushed before the Established, Refresh, or Down
@@ -80,13 +80,12 @@ type Config struct {
 	// in here to wrap the transport.
 	Dial    func(network, address string, timeout time.Duration) (net.Conn, error)
 	Handler Handler
-	// BatchMaxUpdates, when positive and Handler implements BatchHandler,
-	// coalesces consecutive received UPDATEs into UpdateBatch deliveries
-	// of at most this many messages. Zero or negative disables batching.
+	// BatchMaxUpdates caps the messages per UpdateBatch delivery when
+	// Handler implements BatchHandler (ignored otherwise). Below 2 every
+	// UPDATE is delivered at once as a batch of one.
 	BatchMaxUpdates int
 	// BatchMaxDelay bounds how long a received UPDATE may be held while a
-	// batch accumulates. Zero flushes as soon as the event queue idles, so
-	// batches only form under backlog.
+	// batch accumulates.
 	BatchMaxDelay time.Duration
 	// Name labels the session in errors and stats.
 	Name string
@@ -160,8 +159,8 @@ type Session struct {
 	retryTimer   *time.Timer
 	readerCancel chan struct{}
 
-	// Update batching (event-loop owned). bh is non-nil iff batching is
-	// enabled; batch accumulates deliverable UPDATEs between flushes.
+	// Update batching (event-loop owned). bh is non-nil iff the handler
+	// takes batches; batch accumulates deliverable UPDATEs between flushes.
 	bh            BatchHandler
 	batch         []wire.Update
 	batchPrefixes int
@@ -205,9 +204,7 @@ func New(cfg Config) *Session {
 		outbox: make(chan outboxItem, 1024),
 		done:   make(chan struct{}),
 	}
-	if cfg.BatchMaxUpdates > 0 {
-		s.bh, _ = cfg.Handler.(BatchHandler)
-	}
+	s.bh, _ = cfg.Handler.(BatchHandler)
 	s.localAFIs = wire.MultiprotocolAFIs(cfg.FSM.Capabilities)
 	for _, c := range cfg.FSM.Capabilities {
 		if c.Code == wire.CapFourOctetAS {
@@ -366,11 +363,6 @@ func (s *Session) loop() {
 			if s.handle(ev) {
 				return
 			}
-			// With no delay budget, flush as soon as the event queue
-			// idles: batches then only form under backlog.
-			if s.cfg.BatchMaxDelay <= 0 && len(s.batch) > 0 && len(s.events) == 0 {
-				s.flushBatch()
-			}
 		case it := <-s.outbox:
 			if !s.writeOut(it) {
 				continue
@@ -383,10 +375,10 @@ func (s *Session) loop() {
 }
 
 // deliverUpdate hands one received UPDATE to the handler: directly, or
-// into the coalescing batch when batching is enabled. The batch flushes
-// when it reaches BatchMaxUpdates messages or batchMaxPrefixes prefixes;
-// otherwise the flush timer (armed at first accumulation) bounds how
-// long the update is held to BatchMaxDelay.
+// into the coalescing batch when the handler takes batches. The batch
+// flushes when it reaches BatchMaxUpdates messages or batchMaxPrefixes
+// prefixes; otherwise the flush timer (armed at first accumulation)
+// bounds how long the update is held to BatchMaxDelay.
 func (s *Session) deliverUpdate(u wire.Update) {
 	if s.bh == nil {
 		s.cfg.Handler.Update(s, u)
@@ -398,7 +390,7 @@ func (s *Session) deliverUpdate(u wire.Update) {
 		s.flushBatch()
 		return
 	}
-	if s.flushC == nil && s.cfg.BatchMaxDelay > 0 {
+	if s.flushC == nil {
 		if s.flushTimer == nil {
 			s.flushTimer = time.NewTimer(s.cfg.BatchMaxDelay)
 		} else {
@@ -625,6 +617,10 @@ func (s *Session) sendNow(m wire.Message) {
 		return
 	}
 	if err := s.writer.WriteMessage(m); err != nil {
+		// Record the write's own error now: the reader's echo of the same
+		// failure ("use of closed connection") may be queued ahead of the
+		// event below, and the first recorded error is the reported one.
+		s.recordErr(err)
 		s.transportError(err)
 		return
 	}

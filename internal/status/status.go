@@ -117,6 +117,10 @@ func handler(r *core.Router, as uint32, inj *netem.Injector) http.Handler {
 		db, du := r.DispatchStats()
 		fmt.Fprintf(w, "bgp_dispatch_batches_total %d\n", db)
 		fmt.Fprintf(w, "bgp_dispatch_updates_total %d\n", du)
+		// Lifecycle drops: stale work is a bounced session's late tail
+		// (expected under flaps); an unregistered drop is a bug.
+		fmt.Fprintf(w, "bgp_stale_peer_work_total %d\n", r.StalePeerWork())
+		fmt.Fprintf(w, "bgp_rib_unregistered_drops_total %d\n", r.RIBUnregisteredDrops())
 		is := r.InternStats()
 		fmt.Fprintf(w, "bgp_attr_intern_size %d\n", is.Size)
 		fmt.Fprintf(w, "bgp_attr_intern_hits_total %d\n", is.Hits)

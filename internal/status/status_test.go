@@ -93,6 +93,8 @@ func TestMetrics(t *testing.T) {
 		"bgp_shards ",
 		"bgp_shard_queue_depth{shard=\"0\"} 0",
 		"bgp_shard_transactions_total{shard=\"0\"} 0",
+		"bgp_stale_peer_work_total 0",
+		"bgp_rib_unregistered_drops_total 0",
 		"bgp_attr_intern_size 0",
 		"bgp_attr_intern_hits_total 0",
 		"bgp_attr_intern_misses_total 0",

@@ -1,43 +1,98 @@
 #!/bin/sh
-# CI gate: identical to `make check`, for environments without make.
-set -eux
+# The pre-merge gate, defined once. `sh scripts/ci.sh` runs every step in
+# order; `sh scripts/ci.sh STEP...` runs the named ones. The Makefile's
+# targets (`make check`, `make lint`, ...) call this file and add nothing.
+set -eu
 
-go build ./...
-# Formatting gate: fail with the offending file list.
-fmt_out="$(gofmt -l .)"
-if [ -n "$fmt_out" ]; then
-	echo "gofmt needed on:" >&2
-	echo "$fmt_out" >&2
-	exit 1
+GO=${GO:-go}
+
+step_build() {
+	$GO build ./...
+}
+
+# Fail with the offending file list if any file is not gofmt-clean.
+step_fmt() {
+	out="$(${GOFMT:-gofmt} -l .)"
+	if [ -n "$out" ]; then
+		echo "gofmt needed on:" >&2
+		echo "$out" >&2
+		return 1
+	fi
+}
+
+# go vet twice: the default suite, then an explicit pass pinning the two
+# checks the concurrency and counter code leans on hardest (copied locks,
+# discarded sync/atomic results) so they stay on even if the default set
+# ever changes.
+step_vet() {
+	$GO vet ./...
+	$GO vet -copylocks -unusedresult ./...
+}
+
+# Project-invariant static analysis (internal/analysis, cmd/bgplint)
+# against the audited-findings ledger: new or stale findings fail,
+# audited ones stay visible.
+step_lint() {
+	$GO run ./cmd/bgplint -baseline lint/baseline.json ./...
+}
+
+# The sharded router, the session layer and the FIB's lock-free snapshot
+# read path (lookup-under-churn, IPv4 and IPv6) under the race detector.
+step_race() {
+	$GO test -race ./internal/core/... ./internal/session/... ./internal/fib/...
+}
+
+# Fault-injection conformance under the race detector: one representative
+# scenario (flap-reset, N=1 vs N=4 shards), replay determinism, the
+# many-peer update-group equivalence gate, and the dual-stack digest
+# matrix (v4/v6/dual with IPv6 NLRI end to end).
+step_conformance() {
+	BGPBENCH_CONFORMANCE_GATE=1 $GO test -race \
+		-run 'TestConformanceGate|TestConformanceManyPeerGate|TestConformanceReplayDeterminism|TestConformanceDualStackGate' ./internal/bench/
+}
+
+# Peer-lifecycle stress: the bounced-peer model test and the session
+# layer's reconnect tests, twenty times each on one and on two scheduler
+# threads. Flap handling that passes once proves nothing.
+step_stress() {
+	for procs in 1 2; do
+		GOMAXPROCS=$procs $GO test -count=20 \
+			-run 'TestPeerLifecycleInterleavings|TestPeerUpOvertakenBySuccessor' ./internal/core/
+		GOMAXPROCS=$procs $GO test -count=20 \
+			-run 'TestMidOpenConnFailure|TestNetemResetTearsDownCleanly|TestConnectRetryBackoffUnderResets' ./internal/session/
+	done
+}
+
+# Hot-path microbenchmark smoke, one iteration each so they compile and
+# run on every gate (real numbers need -benchtime well above 1x). The
+# 100k-prefix group rebuild is the large-table smoke: one full chunked
+# catch-up through the marshal cache and slab arena.
+step_bench_smoke() {
+	$GO test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
+		-benchtime=1x ./internal/core/
+	$GO test -run='^$' -bench 'BenchmarkGroupRebuild/prefixes=100000' \
+		-benchtime=1x ./internal/core/
+	BGPBENCH_LOOKUP_N=50000 $GO test -run='^$' \
+		-bench 'BenchmarkLookup$|BenchmarkLookupV6$|BenchmarkLookupChurn' \
+		-benchtime=1x ./internal/fib/
+}
+
+# The repository benchmark (benchmark/, BENCHMARK.json) must build and
+# pass its own tests. ./... above already covers it; it is named so that
+# narrowing those patterns can never drop the ruler from the gate.
+step_benchmark() {
+	$GO vet ./benchmark
+	$GO test ./benchmark
+}
+
+step_test() {
+	$GO test ./...
+}
+
+if [ $# -eq 0 ]; then
+	set -- build fmt vet lint race conformance stress bench-smoke benchmark test
 fi
-# Default vet suite, then an explicit pass pinning the checks the
-# concurrency code leans on hardest.
-go vet ./...
-go vet -copylocks -unusedresult ./...
-# Project-invariant static analyzers (see internal/analysis) against
-# the audited-findings ledger: a new finding or a stale baseline entry
-# fails the gate; audited findings stay visible in the SARIF log, which
-# is left under artifacts/ for code-scanning upload.
-mkdir -p artifacts
-if ! go run ./cmd/bgplint -sarif -baseline lint/baseline.json ./... > artifacts/bgplint.sarif; then
-	echo "bgplint gate failed (baseline drift or new findings):" >&2
-	go run ./cmd/bgplint -baseline lint/baseline.json ./... >&2 || true
-	exit 1
-fi
-# Includes the fib lookup-under-churn tests (IPv4 and IPv6) gating the
-# lock-free snapshot read path.
-go test -race ./internal/core/... ./internal/session/... ./internal/fib/...
-# Fault-injection conformance gate under the race detector: one
-# representative scenario (flap-reset, N=1 vs N=4 shards), replay
-# determinism, the many-peer update-group equivalence gate, and the
-# dual-stack digest matrix (v4/v6/dual with IPv6 NLRI end-to-end).
-BGPBENCH_CONFORMANCE_GATE=1 go test -race \
-	-run 'TestConformanceGate|TestConformanceManyPeerGate|TestConformanceReplayDeterminism|TestConformanceDualStackGate' ./internal/bench/
-# Hot-path microbenchmark smoke: one iteration so the dispatch/process
-# benchmarks can never bit-rot.
-go test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
-	-benchtime=1x ./internal/core/
-BGPBENCH_LOOKUP_N=50000 go test -run='^$' \
-	-bench 'BenchmarkLookup$|BenchmarkLookupV6$|BenchmarkLookupChurn' \
-	-benchtime=1x ./internal/fib/
-go test ./...
+for step in "$@"; do
+	echo "== $step"
+	"step_$(echo "$step" | tr - _)"
+done
