@@ -12,7 +12,6 @@ import (
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/netem"
 	"bgpbench/internal/policy"
-	"bgpbench/internal/speaker"
 	"bgpbench/internal/wire"
 )
 
@@ -145,92 +144,27 @@ func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, err
 	// profile with seconds of stall time settles in milliseconds.
 	inj := netem.NewInjector(profile, netem.NewVirtualClock())
 
-	neighbors := []core.NeighborConfig{
-		{AS: liveSpeaker1AS},
-		{AS: liveSpeaker2AS},
-	}
-	for i := 0; i < cfg.Peers; i++ {
-		neighbors = append(neighbors, core.NeighborConfig{
-			AS:     receiverAS(i),
-			Export: receiverPolicy(receiverGroup(i, cfg.PeerGroups)),
-		})
-	}
-	router, err := core.NewRouter(core.Config{
-		AS:           liveRouterAS,
-		ID:           netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:   "127.0.0.1:0",
-		Shards:       cfg.Shards,
-		UpdateGroups: cfg.UpdateGroups,
-		Neighbors:    neighbors,
+	// The receive-only peers' Adj-RIB-Out digests land in AdjOutDigests
+	// via PeerIDs below.
+	tb, err := startTestbed(testbedConfig{
+		Shards:         cfg.Shards,
+		UpdateGroups:   cfg.UpdateGroups,
+		Receivers:      cfg.Peers,
+		ReceiverPolicy: func(i int) *policy.RouteMap { return receiverPolicy(receiverGroup(i, cfg.PeerGroups)) },
+		Inj:            inj,
+		Reconnect:      true,
 	})
 	if err != nil {
 		return out, err
 	}
+	defer tb.stop()
+	router := tb.router
 	out.Shards = router.Shards()
-	if err := router.Start(); err != nil {
-		return out, err
-	}
-	defer router.Stop()
-
-	sp1 := speaker.New(speaker.Config{
-		AS: liveSpeaker1AS, ID: netaddr.MustParseAddr("1.1.1.1"),
-		Target: router.ListenAddr(), Name: "speaker1",
-		Dial: inj.Dial("speaker1"), Reconnect: true,
-	})
-	if err := sp1.Connect(10 * time.Second); err != nil {
-		return out, err
-	}
-	defer sp1.Stop()
-	var sp2 *speaker.Speaker
-	defer func() {
-		if sp2 != nil {
-			sp2.Stop()
-		}
-	}()
-
-	// Receive-only peers: they never announce, they just watch the run.
-	// Their Adj-RIB-Out digests land in AdjOutDigests via PeerIDs below.
-	var receivers []*speaker.Speaker
-	defer func() {
-		for _, rc := range receivers {
-			rc.Stop()
-		}
-	}()
-	for i := 0; i < cfg.Peers; i++ {
-		name := fmt.Sprintf("recv%d", i)
-		rc := speaker.New(speaker.Config{
-			AS: receiverAS(i), ID: receiverID(i),
-			Target: router.ListenAddr(), Name: name,
-			Dial: inj.Dial(name), Reconnect: true,
-		})
-		if err := rc.Connect(10 * time.Second); err != nil {
-			return out, err
-		}
-		receivers = append(receivers, rc)
-	}
-	receiversEstablished := func() bool {
-		for _, rc := range receivers {
-			if !rc.Established() {
-				return false
-			}
-		}
-		return true
-	}
 
 	//bgplint:allow(detclock) reason=wall-clock deadline over a real TCP transport; digests never depend on it
 	start := time.Now()
 	deadline := start.Add(cfg.Timeout)
 
-	retries := func() uint64 {
-		n := sp1.Retries()
-		if sp2 != nil {
-			n += sp2.Retries()
-		}
-		for _, rc := range receivers {
-			n += rc.Retries()
-		}
-		return n
-	}
 	// settle blocks until check() holds and the run has been quiet for
 	// an idle window: no transactions, no FIB changes, no reconnects,
 	// and every speaker's session established.
@@ -240,9 +174,8 @@ func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, err
 		//bgplint:allow(detclock) reason=settle polling measures real elapsed quiet time, not modeled time
 		stableSince := time.Now()
 		for {
-			cur := [3]uint64{router.Transactions(), router.FIBChanges(), retries()}
-			ok := sp1.Established() && (sp2 == nil || sp2.Established()) &&
-				receiversEstablished() && check()
+			cur := [3]uint64{router.Transactions(), router.FIBChanges(), tb.retries()}
+			ok := tb.established() && check()
 			if cur != last || !ok {
 				last = cur
 				stableSince = time.Now() //bgplint:allow(detclock) reason=settle polling over a real TCP transport
@@ -253,68 +186,28 @@ func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, err
 			if time.Now().After(deadline) {
 				return fmt.Errorf("conformance %s [%s/%s]: %s did not settle after %v (tx=%d retries=%d faults=%+v)",
 					scn, cfg.Profile, shardLabel(out.Shards), phase, cfg.Timeout,
-					router.Transactions(), retries(), inj.Stats())
+					router.Transactions(), tb.retries(), inj.Stats())
 			}
 			time.Sleep(2 * time.Millisecond) //bgplint:allow(detclock) reason=polling backoff, not modeled time
 		}
 	}
 
-	n := uint64(len(table))
-	per := scn.PrefixesPerMsg
-
-	// Phase 1: Speaker 1 injects the table.
-	if err := sp1.Announce(table, per); err != nil {
+	// The wait primitive: every phase settles on the Loc-RIB size it
+	// must leave behind.
+	err = runPhases(scn, tb, table, cfg.Seed, cfg.Timeout, func(phase string, _ bool, send func() error, _ uint64, ribLen int) error {
+		if err := send(); err != nil {
+			return err
+		}
+		return settle(phase, func() bool { return router.RIBLen() == ribLen })
+	})
+	if err != nil {
 		return out, err
-	}
-	if err := settle("phase1-inject", func() bool { return router.RIBLen() == int(n) }); err != nil {
-		return out, err
-	}
-
-	switch scn.Op {
-	case OpStartUp:
-		// Phase 1 only.
-	case OpEnding:
-		// Phase 3: withdraw everything.
-		if err := sp1.Withdraw(table, per); err != nil {
-			return out, err
-		}
-		if err := settle("phase3-withdraw", func() bool { return router.RIBLen() == 0 }); err != nil {
-			return out, err
-		}
-	case OpIncrementalNoChange, OpIncrementalChange:
-		// Phase 2: Speaker 2 connects and receives the table.
-		sp2 = speaker.New(speaker.Config{
-			AS: liveSpeaker2AS, ID: netaddr.MustParseAddr("2.2.2.2"),
-			Target: router.ListenAddr(), Name: "speaker2",
-			Dial: inj.Dial("speaker2"), Reconnect: true,
-		})
-		if err := sp2.Connect(10 * time.Second); err != nil {
-			return out, err
-		}
-		if err := sp2.WaitForPrefixes(n, cfg.Timeout); err != nil {
-			return out, err
-		}
-		// Phase 3: Speaker 2 re-announces with longer or shorter paths.
-		variant := make([]core.Route, len(table))
-		for i, r := range table {
-			if scn.Op == OpIncrementalNoChange {
-				variant[i] = core.Lengthen(r, liveSpeaker2AS, 2, cfg.Seed)
-			} else {
-				variant[i] = core.Shorten(r, liveSpeaker2AS)
-			}
-		}
-		if err := sp2.Announce(variant, per); err != nil {
-			return out, err
-		}
-		if err := settle("phase3-incremental", func() bool { return router.RIBLen() == int(n) }); err != nil {
-			return out, err
-		}
 	}
 
 	out.Duration = time.Since(start) //bgplint:allow(detclock) reason=reported wall-clock duration; excluded from digests
 	out.RIBLen = router.RIBLen()
 	out.Transactions = router.Transactions()
-	out.Retries = retries()
+	out.Retries = tb.retries()
 	out.Faults = inj.Stats()
 	out.ScheduleDigest = inj.ScheduleDigest()
 	out.LocRIBDigest = digestLocRIB(router.DumpLocRIB())

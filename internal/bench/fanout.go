@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"bgpbench/internal/core"
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/policy"
-	"bgpbench/internal/speaker"
 )
 
 // FanoutConfig parameterizes a many-peer emission benchmark: one speaker
@@ -147,55 +145,18 @@ func RunFanout(cfg FanoutConfig) (FanoutResult, error) {
 		return out, err
 	}
 
-	neighbors := []core.NeighborConfig{{AS: liveSpeaker1AS}}
-	for i := 0; i < cfg.Peers; i++ {
-		neighbors = append(neighbors, core.NeighborConfig{
-			AS:     receiverAS(i),
-			Export: fanoutPolicy(receiverGroup(i, cfg.Groups)),
-		})
-	}
-	router, err := core.NewRouter(core.Config{
-		AS:           liveRouterAS,
-		ID:           netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr:   "127.0.0.1:0",
-		Shards:       cfg.Shards,
-		UpdateGroups: cfg.UpdateGroups,
-		Neighbors:    neighbors,
+	tb, err := startTestbed(testbedConfig{
+		Shards:         cfg.Shards,
+		UpdateGroups:   cfg.UpdateGroups,
+		Receivers:      cfg.Peers,
+		ReceiverPolicy: func(i int) *policy.RouteMap { return fanoutPolicy(receiverGroup(i, cfg.Groups)) },
 	})
 	if err != nil {
 		return out, err
 	}
+	defer tb.stop()
+	router, sp1, receivers := tb.router, tb.sp1, tb.receivers
 	out.Shards = router.Shards()
-	if err := router.Start(); err != nil {
-		return out, err
-	}
-	defer router.Stop()
-
-	receivers := make([]*speaker.Speaker, 0, cfg.Peers)
-	defer func() {
-		for _, rc := range receivers {
-			rc.Stop()
-		}
-	}()
-	for i := 0; i < cfg.Peers; i++ {
-		rc := speaker.New(speaker.Config{
-			AS: receiverAS(i), ID: receiverID(i),
-			Target: router.ListenAddr(), Name: fmt.Sprintf("recv%d", i),
-		})
-		if err := rc.Connect(10 * time.Second); err != nil {
-			return out, err
-		}
-		receivers = append(receivers, rc)
-	}
-
-	sp1 := speaker.New(speaker.Config{
-		AS: liveSpeaker1AS, ID: netaddr.MustParseAddr("1.1.1.1"),
-		Target: router.ListenAddr(), Name: "speaker1",
-	})
-	if err := sp1.Connect(10 * time.Second); err != nil {
-		return out, err
-	}
-	defer sp1.Stop()
 
 	n := uint64(len(table))
 	out.Prefixes = int(n)

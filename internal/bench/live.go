@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/netem"
 	"bgpbench/internal/packet"
-	"bgpbench/internal/speaker"
 	"bgpbench/internal/wire"
 )
 
@@ -145,42 +143,14 @@ func RunLive(scn Scenario, cfg LiveConfig) (LiveResult, error) {
 		}
 		inj = netem.NewInjector(profile, netem.NewRealClock())
 	}
-	speakerDial := func(name string) func(string, string, time.Duration) (net.Conn, error) {
-		if inj == nil {
-			return nil
-		}
-		return inj.Dial(name)
-	}
 
-	router, err := core.NewRouter(core.Config{
-		AS:         liveRouterAS,
-		ID:         netaddr.MustParseAddr("10.255.0.1"),
-		ListenAddr: "127.0.0.1:0",
-		FIBEngine:  cfg.FIBEngine,
-		Shards:     cfg.Shards,
-		Neighbors: []core.NeighborConfig{
-			{AS: liveSpeaker1AS},
-			{AS: liveSpeaker2AS},
-		},
-	})
+	tb, err := startTestbed(testbedConfig{FIBEngine: cfg.FIBEngine, Shards: cfg.Shards, Inj: inj, Reconnect: faulty})
 	if err != nil {
 		return out, err
 	}
+	defer tb.stop()
+	router := tb.router
 	out.Shards = router.Shards()
-	if err := router.Start(); err != nil {
-		return out, err
-	}
-	defer router.Stop()
-
-	sp1 := speaker.New(speaker.Config{
-		AS: liveSpeaker1AS, ID: netaddr.MustParseAddr("1.1.1.1"),
-		Target: router.ListenAddr(), Name: "speaker1",
-		Dial: speakerDial("speaker1"), Reconnect: faulty,
-	})
-	if err := sp1.Connect(10 * time.Second); err != nil {
-		return out, err
-	}
-	defer sp1.Stop()
 
 	// The generated table (built above) shares one AS path so that
 	// large-packet runs actually pack 500 prefixes per UPDATE (the
@@ -188,29 +158,36 @@ func RunLive(scn Scenario, cfg LiveConfig) (LiveResult, error) {
 	// entries).
 	n := uint64(len(table))
 
-	waitTx := func(target uint64) (time.Duration, error) {
+	// The wait primitive: poll the transaction counter up to the target.
+	waitTx := func(target uint64) error {
 		deadline := time.Now().Add(cfg.Timeout)
-		start := time.Now()
 		for router.Transactions() < target {
 			if time.Now().After(deadline) {
-				return 0, fmt.Errorf("live %s: %d/%d transactions after %v",
+				return fmt.Errorf("live %s: %d/%d transactions after %v",
 					scn, router.Transactions(), target, cfg.Timeout)
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
-		return time.Since(start), nil
+		return nil
 	}
 
-	// measure wraps a phase: optional cross-load, send, wait, timing.
-	measure := func(send func() error, txTarget uint64) error {
+	// The timed phase additionally runs under the optional cross-load.
+	var fibBefore uint64
+	err = runPhases(scn, tb, table, cfg.Seed, cfg.Timeout, func(_ string, timed bool, send func() error, tx uint64, _ int) error {
+		if !timed {
+			if err := send(); err != nil {
+				return err
+			}
+			return waitTx(tx)
+		}
+		fibBefore = router.FIBChanges()
 		stopCross, fwdRate := startCross(router, cfg)
+		defer stopCross()
 		start := time.Now()
 		if err := send(); err != nil {
-			stopCross()
 			return err
 		}
-		if _, err := waitTx(txTarget); err != nil {
-			stopCross()
+		if err := waitTx(tx); err != nil {
 			return err
 		}
 		out.Duration = time.Since(start)
@@ -219,68 +196,19 @@ func RunLive(scn Scenario, cfg LiveConfig) (LiveResult, error) {
 		out.Prefixes = int(n)
 		out.TPS = float64(n) / out.Duration.Seconds()
 		return nil
+	})
+	if err != nil {
+		return out, err
 	}
-
-	per := scn.PrefixesPerMsg
-	switch scn.Op {
-	case OpStartUp:
-		if err := measure(func() error { return sp1.Announce(table, per) }, n); err != nil {
-			return out, err
-		}
-	case OpEnding:
-		if err := sp1.Announce(table, per); err != nil {
-			return out, err
-		}
-		if _, err := waitTx(n); err != nil {
-			return out, err
-		}
-		if err := measure(func() error { return sp1.Withdraw(table, per) }, 2*n); err != nil {
-			return out, err
-		}
-	case OpIncrementalNoChange, OpIncrementalChange:
-		if err := sp1.Announce(table, per); err != nil {
-			return out, err
-		}
-		if _, err := waitTx(n); err != nil {
-			return out, err
-		}
-		// Phase 2: Speaker 2 connects and receives the table.
-		sp2 := speaker.New(speaker.Config{
-			AS: liveSpeaker2AS, ID: netaddr.MustParseAddr("2.2.2.2"),
-			Target: router.ListenAddr(), Name: "speaker2",
-			Dial: speakerDial("speaker2"), Reconnect: faulty,
-		})
-		if err := sp2.Connect(10 * time.Second); err != nil {
-			return out, err
-		}
-		defer sp2.Stop()
-		if err := sp2.WaitForPrefixes(n, cfg.Timeout); err != nil {
-			return out, err
-		}
-		// Phase 3: Speaker 2 re-announces with longer or shorter paths.
-		variant := make([]core.Route, len(table))
-		for i, r := range table {
-			if scn.Op == OpIncrementalNoChange {
-				variant[i] = core.Lengthen(r, liveSpeaker2AS, 2, cfg.Seed)
-			} else {
-				variant[i] = core.Shorten(r, liveSpeaker2AS)
-			}
-		}
-		fibBefore := router.FIBChanges()
-		if err := measure(func() error { return sp2.Announce(variant, per) }, 2*n); err != nil {
-			return out, err
-		}
-		// Session flaps legitimately churn the forwarding table (withdraw
-		// on down, re-add on replay), so the no-change invariant only
-		// holds on clean transports.
-		if !faulty && scn.Op == OpIncrementalNoChange && router.FIBChanges() != fibBefore {
-			return out, fmt.Errorf("live %s: forwarding table changed (%d -> %d) in a no-change scenario",
-				scn, fibBefore, router.FIBChanges())
-		}
-		out.Retries += sp2.Retries()
+	// Session flaps legitimately churn the forwarding table (withdraw
+	// on down, re-add on replay), so the no-change invariant only
+	// holds on clean transports.
+	if !faulty && scn.Op == OpIncrementalNoChange && router.FIBChanges() != fibBefore {
+		return out, fmt.Errorf("live %s: forwarding table changed (%d -> %d) in a no-change scenario",
+			scn, fibBefore, router.FIBChanges())
 	}
 	out.FIBChanges = router.FIBChanges()
-	out.Retries += sp1.Retries()
+	out.Retries = tb.retries()
 	if inj != nil {
 		out.Faults = inj.Stats()
 	}

@@ -75,9 +75,11 @@ type Config struct {
 	// parameters; nil disables it. Suppressed routes are removed from the
 	// decision process until their penalty decays below the reuse limit.
 	Damping *damping.Config
-	// MRAI, when positive, coalesces outbound route changes per peer and
-	// flushes them at this MinRouteAdvertisementInterval instead of
-	// emitting one UPDATE per change (RFC 4271 section 9.2.1.1).
+	// MRAI, when positive, holds outbound route changes per Adj-RIB-Out
+	// table and flushes each prefix's net change at this
+	// MinRouteAdvertisementInterval instead of emitting one UPDATE per
+	// change (RFC 4271 section 9.2.1.1); a prefix back where the interval
+	// found it sends nothing.
 	MRAI time.Duration
 	// Shards is the number of prefix-sharded decision workers. Each shard
 	// owns a disjoint slice of the prefix space (a fixed hash of the
@@ -86,46 +88,36 @@ type Config struct {
 	// without cross-shard locking. Defaults to GOMAXPROCS; 1 reproduces
 	// the classic single-decision-worker pipeline.
 	Shards int
-	// UpdateGroups buckets peers by canonical export-policy key
-	// (rib.GroupKeyFor) so peers with identical export treatment share
-	// one Adj-RIB-Out and one emission pipeline: each route change is
-	// exported once per group, marshaled once, and the bytes fanned out
-	// to every member session. Per-peer digests are unchanged; only the
-	// amount of repeated work is. See internal/core/updategroup.go.
+	// UpdateGroups selects the Adj-RIB-Out table a peer is bound to when
+	// it registers: its own (false), or the one shared by its update
+	// group (true) — peers bucketed by canonical export-policy key
+	// (rib.GroupKeyFor), so each route change is exported once per group,
+	// marshaled once, and the bytes fanned out to every member session.
+	// Per-peer digests are unchanged; only the amount of repeated work
+	// is. See internal/core/emit.go and updategroup.go.
 	UpdateGroups bool
 }
 
-// peerState is the router-side state for one established neighbour.
+// peerState is the router-side state for one established neighbour: one
+// registration of a peer address, from Established to its teardown on
+// the last shard.
+//
+// A peer is bound at register to the Adj-RIB-Out table it is emitted
+// from, and the binding never changes, so shard workers read it without
+// locking. Either group is nil and the peer has its own table — the
+// embedded emitTarget and adjOut, one partition per shard, partition i
+// touched only by shard worker i — or group is the update group whose
+// shared table and target the peer emits through (Config.UpdateGroups),
+// and both are left empty.
 type peerState struct {
 	info rib.PeerInfo
 	cfg  NeighborConfig
 	sess *session.Session
 	out  *outQueue
 
-	// afis records the address families both sides negotiated via the
-	// multiprotocol capability; routes of other families are never
-	// exported to this peer. Set before registration, then read-only.
-	afis [2]bool
-
-	// adjOut holds one Adj-RIB-Out partition per shard; partition i is
-	// touched only by shard worker i, so no locking is needed.
+	emitTarget
 	adjOut []*rib.AdjOut
-	// exportCache memoizes the per-peer export transform (AS prepend,
-	// next-hop-self) keyed by canonical input attrs, one map per shard.
-	// Only consulted when the peer has no export policy (policies may
-	// match on prefix, which the cache cannot key).
-	exportCache []map[exportKey]*wire.PathAttrs
-	// pending accumulates MRAI-coalesced route changes per shard: attrs
-	// to announce, or nil to withdraw. Flushed by the peer's mraiFlusher.
-	// Unused when the peer belongs to an update group (the group holds
-	// the pending set).
-	pending []pendingShard
-
-	// group, when Config.UpdateGroups is enabled, is the update group
-	// this peer emits through; its per-shard state replaces adjOut,
-	// exportCache, and pending above. Set before the peer is registered
-	// and never changed, so shard workers read it without locking.
-	group *updateGroup
+	group  *updateGroup
 
 	// prefixCount tracks the routes this peer currently contributes
 	// across all shards, for max-prefix enforcement.
@@ -137,16 +129,6 @@ type peerState struct {
 	// gen orders registrations of the same peer address: the one whose
 	// connection the router took on later has the larger gen (nextGen).
 	gen uint64
-}
-
-type exportKey struct {
-	attrs   *wire.PathAttrs
-	srcEBGP bool
-}
-
-type pendingShard struct {
-	mu sync.Mutex
-	m  map[netaddr.Prefix]*wire.PathAttrs
 }
 
 // Router is a live BGP speaker: it terminates sessions, applies policy,
@@ -171,6 +153,10 @@ type pendingShard struct {
 // successor's registration. Which of two registrations is the successor
 // is decided by the order the router took their connections on, not by
 // the order their handshakes happened to finish (see register).
+//
+// Emission — Loc-RIB change to UPDATEs on a session — is one pipeline
+// run by the same workers (emit.go); the only goroutine it adds is the
+// MRAI ticker, one per router.
 type Router struct {
 	cfg       Config
 	nshards   int
@@ -205,12 +191,14 @@ type Router struct {
 	// slabPool recycles the arena blocks the shared marshal cache carves
 	// fan-out payloads from (see marshalcache.go).
 	slabPool sync.Pool
-	// Update-group counters (see GroupStats).
+	// mraiSuppressed counts prefixes an MRAI flush found back where the
+	// window had found them, on either table; the rest are update-group
+	// counters (see GroupStats).
+	mraiSuppressed      atomic.Uint64
 	groupRuns           atomic.Uint64
 	groupSends          atomic.Uint64
 	groupBytesBuilt     atomic.Uint64
 	groupBytesSaved     atomic.Uint64
-	groupSuppressed     atomic.Uint64
 	groupBytesMarshaled atomic.Uint64
 	groupCacheHits      atomic.Uint64
 	groupCacheMisses    atomic.Uint64
@@ -231,12 +219,23 @@ type shard struct {
 	// cleared by its teardown. Worker-owned.
 	owner map[netaddr.Addr]*peerState
 
-	// Scratch owned by the shard worker.
+	// Scratch owned by the shard worker: the FIB batch; per Adj-RIB-Out
+	// table kind, the batch's emit buffer and the snapshot of tables to
+	// apply changes to (emit.go); and what emission runs are assembled
+	// in — an action stream (dacts for a dirty member while acts holds
+	// the clean one), a run's prefixes, the originators in a fan-out,
+	// the sessions sharing a stream (empty between uses), and a list of
+	// group-table transitions.
 	fibOps       []fib.Op
-	emit         emitBuf
-	gemit        groupEmitBuf
+	emit         emitBuf[*peerState, emitItem]
+	gemit        emitBuf[*updateGroup, groupEmitItem]
 	peerScratch  []*peerState
 	groupScratch []*updateGroup
+	acts, dacts  []emitItem
+	pfx          []netaddr.Prefix
+	dirty        []netaddr.Addr
+	recipients   []*peerState
+	gitems       []groupEmitItem
 
 	// mcache is the shard's cross-group marshal cache (marshalcache.go);
 	// catchups the queue of in-progress chunked group rebuilds and member
@@ -263,7 +262,7 @@ const (
 	workRIBLen
 	workDump
 	workAdjOut
-	workGroupFlush
+	workFlush // close the MRAI window of every table the shard serves
 )
 
 type workItem struct {
@@ -271,7 +270,6 @@ type workItem struct {
 	peer   *peerState     // with workUpdateBatch/PeerUp/PeerDown/Refresh: the registration the item belongs to
 	peerID netaddr.Addr   // with workAdjOut
 	batch  *dispatchBatch // with workUpdateBatch; returned to the pool by the worker
-	group  *updateGroup   // with workGroupFlush
 	reply  chan int
 	dump   chan []LocRoute
 	adj    chan []AdjRoute
@@ -403,6 +401,10 @@ func (r *Router) Start() error {
 	for i := range r.shards {
 		r.wg.Add(1)
 		go r.shardWorker(i)
+	}
+	if r.cfg.MRAI > 0 {
+		r.wg.Add(1)
+		go r.mraiTicker()
 	}
 	for _, n := range r.cfg.Neighbors {
 		if n.DialTarget != "" {
@@ -782,12 +784,6 @@ func (h *routerHandler) Established(s *session.Session) {
 
 	r.wg.Add(1)
 	go r.sender(ps)
-	if r.cfg.MRAI > 0 && ps.group == nil {
-		// Grouped peers flush through their group's flusher instead.
-		r.wg.Add(1)
-		go r.mraiFlusher(ps)
-	}
-
 	r.fanOut(workPeerUp, ps)
 }
 
@@ -811,24 +807,18 @@ func (r *Router) nextGen() uint64 {
 // order does say: a peer dials again only after giving the old
 // connection up, so the later connection is the one it holds.
 func (r *Router) register(info rib.PeerInfo, ncfg NeighborConfig, afis [2]bool, as4 bool, gen uint64) *peerState {
-	ps := &peerState{
-		info:        info,
-		afis:        afis,
-		cfg:         ncfg,
-		gen:         gen,
-		out:         newOutQueue(),
-		adjOut:      make([]*rib.AdjOut, r.nshards),
-		exportCache: make([]map[exportKey]*wire.PathAttrs, r.nshards),
-		pending:     make([]pendingShard, r.nshards),
-	}
-	for i := range ps.adjOut {
-		ps.adjOut[i] = rib.NewAdjOut()
-		ps.exportCache[i] = make(map[exportKey]*wire.PathAttrs)
-	}
+	ps := &peerState{info: info, cfg: ncfg, gen: gen, out: newOutQueue()}
+	// The one thing UpdateGroups selects: the table the peer is bound to.
 	if r.cfg.UpdateGroups {
 		// The wire mode and negotiated family set are part of the group
 		// identity: fan-out shares marshaled bytes, which depend on both.
 		ps.group = r.groupFor(info.EBGP, ncfg.Export, as4, afis)
+	} else {
+		ps.emitTarget = newEmitTarget(info.EBGP, afis, ncfg.Export, r.nshards)
+		ps.adjOut = make([]*rib.AdjOut, r.nshards)
+		for i := range ps.adjOut {
+			ps.adjOut[i] = rib.NewAdjOut()
+		}
 	}
 	ps.downLeft.Store(int32(r.nshards))
 	r.mu.Lock()
@@ -861,10 +851,12 @@ func (h *routerHandler) Refresh(*session.Session, wire.RouteRefresh) {
 	}
 }
 
-// Down withdraws the routes of the registration this session made.
+// Down withdraws the routes of the registration this session made and
+// lets go of it: the session outlives it in r.sessions.
 func (h *routerHandler) Down(*session.Session, error) {
 	if h.ps != nil {
 		h.r.fanOut(workPeerDown, h.ps)
+		h.ps = nil
 	}
 }
 
@@ -960,8 +952,10 @@ func (r *Router) handleWork(i int, s *shard, w workItem) {
 		if r.owns(s, w.peer) {
 			r.processRefresh(i, w.peer)
 		}
-	case workGroupFlush:
-		r.processGroupFlush(i, w.group)
+	case workFlush:
+		for _, ps := range s.owner {
+			r.flushMRAI(i, s, ps)
+		}
 	case workRIBLen:
 		w.reply <- r.rib.Shard(i).Len()
 	case workDump:
@@ -1005,18 +999,6 @@ func (r *Router) owns(s *shard, ps *peerState) bool {
 	return false
 }
 
-// snapshotPeersInto appends the current established peers to buf,
-// reusing its capacity. Shard workers snapshot once per work batch
-// instead of once per route change, so r.mu is off the per-prefix path.
-func (r *Router) snapshotPeersInto(buf []*peerState) []*peerState {
-	r.mu.Lock()
-	for _, p := range r.peers {
-		buf = append(buf, p)
-	}
-	r.mu.Unlock()
-	return buf
-}
-
 // getBatch and putBatch recycle dispatch batches (and, transitively,
 // their per-slot prefix buffers) between session handlers and shard
 // workers.
@@ -1054,40 +1036,6 @@ func (r *Router) processPeerUp(si int, ps *peerState) {
 	r.exportLocRIB(si, ps)
 }
 
-// exportLocRIB sends shard si's Loc-RIB slice to an ungrouped peer,
-// skipping what its Adj-RIB-Out partition already advertises.
-func (r *Router) exportLocRIB(si int, ps *peerState) {
-	// Table transfer: batch routes sharing an attribute block.
-	// Attrs are interned, so "same block" is a pointer comparison.
-	var batch []netaddr.Prefix
-	var batchAttrs *wire.PathAttrs
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		ps.out.push(wire.Update{Attrs: *batchAttrs, NLRI: append([]netaddr.Prefix(nil), batch...)})
-		batch = batch[:0]
-	}
-	r.rib.Shard(si).WalkLoc(func(p netaddr.Prefix, c rib.Candidate) bool {
-		attrs, ok := r.exportAttrs(si, ps, p, c)
-		if !ok {
-			return true
-		}
-		if !ps.adjOut[si].Advertise(p, attrs) {
-			return true
-		}
-		if len(batch) > 0 && (attrs != batchAttrs || len(batch) >= r.cfg.ExportBatch) {
-			flush()
-		}
-		if len(batch) == 0 {
-			batchAttrs = attrs
-		}
-		batch = append(batch, p)
-		return true
-	})
-	flush()
-}
-
 // processRefresh rebuilds and re-sends shard si's partition of the peer's
 // Adj-RIB-Out from scratch: the RFC 2918 response to a ROUTE-REFRESH
 // request, fanned out across shards.
@@ -1099,13 +1047,10 @@ func (r *Router) processRefresh(si int, ps *peerState) {
 		r.scheduleMemberReplay(si, ps)
 		return
 	}
-	// Reset the advertised view (and any MRAI-pending changes owned by
-	// this shard) so every current route is re-sent, then reuse the
-	// initial-export path.
-	sh := &ps.pending[si]
-	sh.mu.Lock()
-	sh.m = nil
-	sh.mu.Unlock()
+	// Reset the advertised view (and the shard's open MRAI window on it)
+	// so every current route is re-sent, then reuse the initial-export
+	// path.
+	ps.tshards[si].pending = nil
 	ps.adjOut[si] = rib.NewAdjOut()
 	r.exportLocRIB(si, ps)
 }
@@ -1140,8 +1085,7 @@ func (r *Router) processPeerDown(si int, ps *peerState) {
 	}
 	r.commitFIB(&ops)
 	s.fibOps = ops[:0]
-	r.flushEmits(si, &s.emit)
-	r.flushGroupEmits(si, &s.gemit)
+	r.flushEmits(si, s)
 	if n := uint64(len(changes)); n > 0 {
 		s.transactions.Add(n)
 	}
@@ -1174,23 +1118,11 @@ func (r *Router) processUpdateBatch(si int, ps *peerState, us []wire.Update) {
 	}
 	r.commitFIB(&ops)
 	s.fibOps = ops[:0]
-	r.flushEmits(si, &s.emit)
-	r.flushGroupEmits(si, &s.gemit)
+	r.flushEmits(si, s)
 	if tx > 0 {
 		s.transactions.Add(tx)
 	}
 	s.batches.Add(1)
-}
-
-// snapshotEmitTargets refreshes the shard's emission-target scratch for
-// one work batch: the peer list (ungrouped mode) or the group list
-// (grouped mode), so r.mu stays off the per-prefix path.
-func (r *Router) snapshotEmitTargets(s *shard) {
-	if r.cfg.UpdateGroups {
-		s.groupScratch = r.snapshotGroupsInto(s.groupScratch[:0])
-	} else {
-		s.peerScratch = r.snapshotPeersInto(s.peerScratch[:0])
-	}
 }
 
 // processOneUpdate runs import policy and the decision process on one
@@ -1311,8 +1243,8 @@ func (r *Router) commitFIB(ops *[]fib.Op) {
 }
 
 // applyChange pushes one Loc-RIB transition toward the FIB batch and
-// into the emission buffers: per-peer (classic mode) or per-group
-// (update groups), using the shard's snapshot scratch for the targets.
+// through the step of every Adj-RIB-Out table in the shard's snapshot
+// scratch: each peer that has its own, and each update group's.
 func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 	// Forwarding table: batch the op; the caller commits per batch.
 	if ch.New != nil {
@@ -1324,258 +1256,12 @@ func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 		*ops = append(*ops, fib.Op{Prefix: ch.Prefix, Delete: true})
 	}
 
-	if r.cfg.UpdateGroups {
-		r.applyChangeGrouped(si, ch, &s.gemit, s.groupScratch)
-		return
-	}
-
-	// Adj-RIB-Out propagation (this shard's partition of every peer).
-	eb := &s.emit
 	for _, ps := range s.peerScratch {
-		if ch.New != nil {
-			// Do not advertise a route back to the peer it came from.
-			if ps.info.Addr == ch.New.Peer.Addr {
-				// If we previously advertised another route for this prefix
-				// to that peer, withdraw it.
-				if ps.adjOut[si].Withdraw(ch.Prefix) {
-					eb.add(ps, ch.Prefix, nil)
-				}
-				continue
-			}
-			attrs, ok := r.exportAttrs(si, ps, ch.Prefix, *ch.New)
-			if !ok {
-				if ps.adjOut[si].Withdraw(ch.Prefix) {
-					eb.add(ps, ch.Prefix, nil)
-				}
-				continue
-			}
-			if ps.adjOut[si].Advertise(ch.Prefix, attrs) {
-				eb.add(ps, ch.Prefix, attrs)
-			}
-		} else {
-			if ps.adjOut[si].Withdraw(ch.Prefix) {
-				eb.add(ps, ch.Prefix, nil)
-			}
-		}
+		r.applyToPeerTable(si, s, ps, ch)
 	}
-}
-
-// emitItem is one queued route change toward a peer; attrs == nil means
-// withdraw.
-type emitItem struct {
-	prefix netaddr.Prefix
-	attrs  *wire.PathAttrs
-}
-
-// emitPeer accumulates one peer's route changes across a work batch, in
-// decision order.
-type emitPeer struct {
-	ps    *peerState
-	items []emitItem
-}
-
-// emitBuf collects per-peer emissions across one work batch so each
-// peer's outbound changes flush once at batch end instead of one queue
-// push (or one MRAI lock take) per change. Slots and their item buffers
-// are reused across batches; peers[:n] are active.
-type emitBuf struct {
-	peers []emitPeer
-	n     int
-}
-
-// add appends a change for ps. The linear scan is over the handful of
-// peers touched this batch, which is small in every benchmark topology.
-func (b *emitBuf) add(ps *peerState, p netaddr.Prefix, attrs *wire.PathAttrs) {
-	for i := 0; i < b.n; i++ {
-		if b.peers[i].ps == ps {
-			b.peers[i].items = append(b.peers[i].items, emitItem{prefix: p, attrs: attrs})
-			return
-		}
+	for _, g := range s.groupScratch {
+		r.applyToGroupTable(si, s, g, ch)
 	}
-	if b.n < len(b.peers) {
-		ep := &b.peers[b.n]
-		ep.ps = ps
-		ep.items = append(ep.items[:0], emitItem{prefix: p, attrs: attrs})
-	} else {
-		b.peers = append(b.peers, emitPeer{ps: ps, items: []emitItem{{prefix: p, attrs: attrs}}})
-	}
-	b.n++
-}
-
-// flushEmits drains the batch's accumulated emissions. With MRAI enabled
-// each peer's items merge into its pending set under a single lock take;
-// otherwise consecutive runs pack into few UPDATEs while preserving the
-// exact per-prefix transition order the per-change path would have
-// produced.
-func (r *Router) flushEmits(si int, eb *emitBuf) {
-	for i := 0; i < eb.n; i++ {
-		ep := &eb.peers[i]
-		if r.cfg.MRAI > 0 {
-			sh := &ep.ps.pending[si]
-			sh.mu.Lock()
-			if sh.m == nil {
-				sh.m = make(map[netaddr.Prefix]*wire.PathAttrs)
-			}
-			for _, it := range ep.items {
-				sh.m[it.prefix] = it.attrs
-			}
-			sh.mu.Unlock()
-		} else {
-			pushEmitRuns(ep.ps, ep.items, r.cfg.ExportBatch)
-		}
-		ep.ps = nil
-		ep.items = ep.items[:0]
-	}
-	eb.n = 0
-}
-
-// pushEmitRuns packs a peer's ordered emissions into UPDATEs: a run of
-// consecutive withdrawals shares one message, a run of consecutive
-// announcements with the same interned attribute block shares one
-// message, both chunked at the export batch limit. Packing never
-// reorders or coalesces across a run boundary, so the peer observes the
-// same per-prefix transition sequence as with one UPDATE per change.
-func pushEmitRuns(ps *peerState, items []emitItem, limit int) {
-	for i := 0; i < len(items); {
-		j := i + 1
-		if items[i].attrs == nil {
-			for j < len(items) && items[j].attrs == nil && j-i < limit {
-				j++
-			}
-			w := make([]netaddr.Prefix, j-i)
-			for k := i; k < j; k++ {
-				w[k-i] = items[k].prefix
-			}
-			ps.out.push(wire.Update{Withdrawn: w})
-		} else {
-			for j < len(items) && items[j].attrs == items[i].attrs && j-i < limit {
-				j++
-			}
-			n := make([]netaddr.Prefix, j-i)
-			for k := i; k < j; k++ {
-				n[k-i] = items[k].prefix
-			}
-			ps.out.push(wire.Update{Attrs: *items[i].attrs, NLRI: n})
-		}
-		i = j
-	}
-}
-
-// mraiFlusher drains a peer's pending sets every MRAI, packing
-// withdrawals together and grouping announcements that share an attribute
-// block.
-func (r *Router) mraiFlusher(ps *peerState) {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.MRAI)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-t.C:
-			r.flushPending(ps)
-		}
-	}
-}
-
-func (r *Router) flushPending(ps *peerState) {
-	var withdrawn []netaddr.Prefix
-	// Attrs are interned: the canonical pointer is the grouping key, so no
-	// per-route marshal is needed to coalesce shared attribute blocks.
-	groups := make(map[*wire.PathAttrs]*wire.Update)
-	var order []*wire.PathAttrs
-	for i := range ps.pending {
-		sh := &ps.pending[i]
-		sh.mu.Lock()
-		pending := sh.m
-		sh.m = nil
-		sh.mu.Unlock()
-		for p, attrs := range pending {
-			if attrs == nil {
-				withdrawn = append(withdrawn, p)
-				continue
-			}
-			g := groups[attrs]
-			if g == nil {
-				g = &wire.Update{Attrs: *attrs}
-				groups[attrs] = g
-				order = append(order, attrs)
-			}
-			g.NLRI = append(g.NLRI, p)
-		}
-	}
-	// Withdrawals ride in one UPDATE (chunked to the batch limit).
-	for i := 0; i < len(withdrawn); i += r.cfg.ExportBatch {
-		j := i + r.cfg.ExportBatch
-		if j > len(withdrawn) {
-			j = len(withdrawn)
-		}
-		ps.out.push(wire.Update{Withdrawn: withdrawn[i:j]})
-	}
-	for _, key := range order {
-		g := groups[key]
-		for i := 0; i < len(g.NLRI); i += r.cfg.ExportBatch {
-			j := i + r.cfg.ExportBatch
-			if j > len(g.NLRI) {
-				j = len(g.NLRI)
-			}
-			ps.out.push(wire.Update{Attrs: g.Attrs, NLRI: g.NLRI[i:j]})
-		}
-	}
-}
-
-// exportAttrs applies export policy and standard eBGP transformations
-// (own-AS prepend, next-hop-self) for a route toward a peer, returning an
-// interned canonical pointer. When the peer has no export policy the
-// transform is memoized per (input attrs, source session type), so the
-// per-prefix clone+prepend collapses into a map hit after first sight.
-func (r *Router) exportAttrs(si int, ps *peerState, p netaddr.Prefix, c rib.Candidate) (*wire.PathAttrs, bool) {
-	// Never export a family the session did not negotiate.
-	if !ps.afis[p.Family()] {
-		return nil, false
-	}
-	// iBGP split-horizon: do not re-advertise iBGP routes to iBGP peers.
-	if !c.Peer.EBGP && !ps.info.EBGP {
-		return nil, false
-	}
-	cacheable := ps.cfg.Export == nil
-	key := exportKey{attrs: c.Attrs, srcEBGP: c.Peer.EBGP}
-	if cacheable {
-		if out, ok := ps.exportCache[si][key]; ok {
-			return out, true
-		}
-	}
-	attrs, ok := ps.cfg.Export.Apply(p, *c.Attrs)
-	if !ok {
-		return nil, false
-	}
-	var out *wire.PathAttrs
-	if ps.info.EBGP {
-		a := attrs.Clone()
-		a.ASPath = a.ASPath.Prepend(r.cfg.AS)
-		a.NextHop, a.HasNextHop = r.nextHopSelf(a), true
-		// LOCAL_PREF is not sent on eBGP sessions.
-		a.HasLocalPref, a.LocalPref = false, 0
-		out = r.interner.Intern(a)
-	} else {
-		out = r.interner.Intern(attrs)
-	}
-	if cacheable {
-		ps.exportCache[si][key] = out
-	}
-	return out, true
-}
-
-// nextHopSelf picks the next-hop-self address matching the route's
-// family: a v6 route keeps a v6 next hop (it rides MP_REACH_NLRI on the
-// wire), everything else gets the classic v4 next hop. The route family
-// is read from the incoming next hop, which matches the NLRI family on
-// every path the router builds.
-func (r *Router) nextHopSelf(a wire.PathAttrs) netaddr.Addr {
-	if a.HasNextHop && a.NextHop.Is6() {
-		return r.cfg.NextHop6
-	}
-	return r.cfg.NextHop
 }
 
 // outMsg is one queued outbound transmission: a message to marshal, or

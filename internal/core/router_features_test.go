@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -71,81 +72,112 @@ func TestRouterDampingStableRouteUnaffected(t *testing.T) {
 	}
 }
 
-func TestRouterMRAICoalescesChurn(t *testing.T) {
-	cfg := testRouterConfig(
-		NeighborConfig{AS: 65001},
-		NeighborConfig{AS: 65002},
-	)
-	cfg.MRAI = 100 * time.Millisecond
-	r := mustStartRouter(t, cfg)
-	defer r.Stop()
-
-	sp1 := dialSpeaker(t, r, 65001, "1.1.1.1")
-	defer sp1.stop()
-	sp2 := dialSpeaker(t, r, 65002, "2.2.2.2")
-	defer sp2.stop()
-
-	// Churn one prefix rapidly: announce/withdraw 20 times within one MRAI
-	// window, ending announced. Speaker 2 should see far fewer UPDATEs
-	// than 40 — ideally the coalesced net result.
-	route := []Route{{
-		Prefix: netaddr.MustParsePrefix("203.0.113.0/24"),
-		Path:   wire.NewASPath(65001, 9),
-	}}
-	for i := 0; i < 20; i++ {
-		sp1.announce(t, route, 1)
-		sp1.withdraw(t, route, 1)
+// onBothTables runs an MRAI scenario once per Adj-RIB-Out table — each
+// peer its own, then update groups — and requires the two runs to leave
+// the same Adj-RIB-Out toward each receiving peer.
+func onBothTables(t *testing.T, mrai time.Duration, run func(t *testing.T, r *Router) (adjOut string)) {
+	var digests [2]string
+	for i, grouped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("grouped=%v", grouped), func(t *testing.T) {
+			cfg := testRouterConfig(
+				NeighborConfig{AS: 65001},
+				NeighborConfig{AS: 65002},
+			)
+			cfg.MRAI = mrai
+			cfg.UpdateGroups = grouped
+			r := mustStartRouter(t, cfg)
+			defer r.Stop()
+			digests[i] = run(t, r)
+		})
 	}
-	sp1.announce(t, route, 1)
-	waitFor(t, 5*time.Second, func() bool { return r.Transactions() >= 41 })
-
-	// Wait two MRAI windows for the flush, then check the peer's view.
-	waitFor(t, 5*time.Second, func() bool { return sp2.prefixesIn.Load() >= 1 })
-	time.Sleep(250 * time.Millisecond)
-	updates := sp2.prefixesIn.Load() + sp2.withdrawsIn.Load()
-	if updates > 8 {
-		t.Fatalf("MRAI sent %d route events for 41 input churns; want strong coalescing", updates)
-	}
-	// Final state must be correct: the route is announced.
-	if sp2.prefixesIn.Load() < 1 {
-		t.Fatal("net announcement never delivered")
-	}
-	if r.FIB().Len() != 1 {
-		t.Fatalf("FIB len = %d", r.FIB().Len())
+	if !t.Failed() && digests[0] != digests[1] {
+		t.Errorf("Adj-RIB-Out differs between the tables:\nper-peer:\n%sgrouped:\n%s", digests[0], digests[1])
 	}
 }
 
+func TestRouterMRAICoalescesChurn(t *testing.T) {
+	const mrai = 100 * time.Millisecond
+	onBothTables(t, mrai, func(t *testing.T, r *Router) string {
+		sp1 := dialSpeaker(t, r, 65001, "1.1.1.1")
+		defer sp1.stop()
+		sp2 := dialSpeaker(t, r, 65002, "2.2.2.2")
+		defer sp2.stop()
+
+		// Churn one prefix rapidly: announce/withdraw 20 times within one MRAI
+		// window, ending announced. Speaker 2 should see far fewer UPDATEs
+		// than 40 — ideally the coalesced net result.
+		route := []Route{{
+			Prefix: netaddr.MustParsePrefix("203.0.113.0/24"),
+			Path:   wire.NewASPath(65001, 9),
+		}}
+		for i := 0; i < 20; i++ {
+			sp1.announce(t, route, 1)
+			sp1.withdraw(t, route, 1)
+		}
+		sp1.announce(t, route, 1)
+		waitFor(t, 5*time.Second, func() bool { return r.Transactions() >= 41 })
+
+		// Wait two MRAI windows for the flush, then check the peer's view.
+		waitFor(t, 5*time.Second, func() bool { return sp2.prefixesIn.Load() >= 1 })
+		time.Sleep(250 * time.Millisecond)
+		updates := sp2.prefixesIn.Load() + sp2.withdrawsIn.Load()
+		if updates > 8 {
+			t.Fatalf("MRAI sent %d route events for 41 input churns; want strong coalescing", updates)
+		}
+		// Final state must be correct: the route is announced.
+		if sp2.prefixesIn.Load() < 1 {
+			t.Fatal("net announcement never delivered")
+		}
+		if r.FIB().Len() != 1 {
+			t.Fatalf("FIB len = %d", r.FIB().Len())
+		}
+
+		// A flap that is back where it started when its window closes
+		// sends nothing and is counted. A window boundary can fall between
+		// the withdrawal and the re-announcement (they usually share one
+		// batch), so a few attempts are allowed.
+		suppressed := false
+		for try := 0; try < 3 && !suppressed; try++ {
+			tx, events, before := r.Transactions(), sp2.prefixesIn.Load()+sp2.withdrawsIn.Load(), r.GroupStats().Suppressed
+			sp1.withdraw(t, route, 1)
+			sp1.announce(t, route, 1)
+			waitFor(t, 5*time.Second, func() bool { return r.Transactions() >= tx+2 })
+			time.Sleep(2*mrai + mrai/2)
+			suppressed = r.GroupStats().Suppressed > before && sp2.prefixesIn.Load()+sp2.withdrawsIn.Load() == events
+		}
+		if !suppressed {
+			t.Error("a withdraw/re-announce flap inside one MRAI window was never suppressed")
+		}
+		return adjFingerprint(r, "2.2.2.2")
+	})
+}
+
 func TestRouterMRAIBulkTransferStillBatches(t *testing.T) {
-	cfg := testRouterConfig(
-		NeighborConfig{AS: 65001},
-		NeighborConfig{AS: 65002},
-	)
-	cfg.MRAI = 50 * time.Millisecond
-	r := mustStartRouter(t, cfg)
-	defer r.Stop()
+	onBothTables(t, 50*time.Millisecond, func(t *testing.T, r *Router) string {
+		sp1 := dialSpeaker(t, r, 65001, "1.1.1.1")
+		defer sp1.stop()
+		routes := UniformPath(
+			GenerateTable(TableGenConfig{N: 600, Seed: 10, FirstAS: 65001}),
+			wire.NewASPath(65001, 70, 71),
+		)
+		sp1.announce(t, routes, 200)
+		waitFor(t, 5*time.Second, func() bool { return r.FIB().Len() == 600 })
 
-	sp1 := dialSpeaker(t, r, 65001, "1.1.1.1")
-	defer sp1.stop()
-	routes := UniformPath(
-		GenerateTable(TableGenConfig{N: 600, Seed: 10, FirstAS: 65001}),
-		wire.NewASPath(65001, 70, 71),
-	)
-	sp1.announce(t, routes, 200)
-	waitFor(t, 5*time.Second, func() bool { return r.FIB().Len() == 600 })
+		sp2 := dialSpeaker(t, r, 65002, "2.2.2.2")
+		defer sp2.stop()
+		// Phase 2 export is immediate (not MRAI-gated).
+		waitFor(t, 10*time.Second, func() bool { return sp2.prefixesIn.Load() == 600 })
 
-	sp2 := dialSpeaker(t, r, 65002, "2.2.2.2")
-	defer sp2.stop()
-	// Phase 2 export is immediate (not MRAI-gated).
-	waitFor(t, 10*time.Second, func() bool { return sp2.prefixesIn.Load() == 600 })
-
-	// Incremental changes flow via MRAI with attribute grouping.
-	shorter := make([]Route, len(routes))
-	for i, rt := range routes {
-		shorter[i] = Shorten(rt, 65002)
-	}
-	sp1rcvBefore := sp1.prefixesIn.Load()
-	sp2.announce(t, shorter, 200)
-	waitFor(t, 10*time.Second, func() bool { return sp1.prefixesIn.Load() >= sp1rcvBefore+600 })
+		// Incremental changes flow via MRAI with attribute grouping.
+		shorter := make([]Route, len(routes))
+		for i, rt := range routes {
+			shorter[i] = Shorten(rt, 65002)
+		}
+		sp1rcvBefore := sp1.prefixesIn.Load()
+		sp2.announce(t, shorter, 200)
+		waitFor(t, 10*time.Second, func() bool { return sp1.prefixesIn.Load() >= sp1rcvBefore+600 })
+		return adjFingerprint(r, "1.1.1.1") + adjFingerprint(r, "2.2.2.2")
+	})
 }
 
 func TestRouterMaxPrefixesTearsDownSession(t *testing.T) {

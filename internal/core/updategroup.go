@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bgpbench/internal/netaddr"
@@ -11,25 +10,25 @@ import (
 	"bgpbench/internal/wire"
 )
 
-// This file implements update groups: peers whose export treatment is
-// provably identical (same eBGP-vs-iBGP handling, behavior-equal export
-// route map — see rib.GroupKeyFor) share one Adj-RIB-Out and one
-// emission pipeline. Each route change is exported once per group
-// instead of once per peer, each emission run is marshaled once through
-// the shard's cross-group marshal cache (marshalcache.go), and the
-// framed bytes are fanned out to every member session as a
-// reference-counted session.SharedPayload. This turns emission from
-// O(peers × prefixes) into O(distinct runs) + a per-peer byte copy at
-// the transport, which is what makes hundreds of peering sessions over
-// DFZ-sized tables plausible.
+// This file implements update groups, the shared-table side of the
+// emission pipeline (emit.go): peers whose export treatment is provably
+// identical (same eBGP-vs-iBGP handling, behavior-equal export route
+// map — see rib.GroupKeyFor) share one emitTarget and one Adj-RIB-Out.
+// Each route change is exported once per group instead of once per
+// peer, each emission run is marshaled once through the shard's
+// cross-group marshal cache (marshalcache.go), and the framed bytes are
+// fanned out to every member session as a reference-counted
+// session.SharedPayload. This turns emission from O(peers × prefixes)
+// into O(distinct runs) + a per-peer byte copy at the transport, which
+// is what makes hundreds of peering sessions over DFZ-sized tables
+// plausible. What lives here is what only a shared table needs: group
+// membership, the clean/dirty fan-out partition, and chunked catch-up.
 //
 // Concurrency model: all per-shard group state (groupShard) is owned by
 // that shard's worker goroutine, exactly like per-peer Adj-RIB-Out
-// partitions. Even the per-group MRAI flush runs on the shard workers —
-// the flusher goroutine only enqueues workGroupFlush items — so the
-// group tables need no locks. Whole-table work (group rebuilds, member
-// catch-up replays) runs in bounded chunks on the same workers
-// (groupCatchup) instead of stop-the-world walks.
+// partitions, so the group tables need no locks. Whole-table work (group
+// rebuilds, member catch-up replays) runs in bounded chunks on the same
+// workers (groupCatchup) instead of stop-the-world walks.
 
 const (
 	// catchupChunk bounds how many snapshot keys one catch-up chunk
@@ -43,89 +42,36 @@ const (
 
 // updateGroup is one update group: the set of peers sharing a canonical
 // export-policy key, with per-shard state owned by the shard workers.
+// Its emitTarget holds the first-seen export map, behavior-equal to
+// every member's.
 type updateGroup struct {
-	key    string
-	ebgp   bool
-	export *policy.RouteMap // first-seen map; behavior-equal to every member's
-	// as4 is the members' negotiated wire mode and afis their negotiated
-	// family set; both are folded into the group key because the fan-out
-	// shares marshaled bytes, whose encoding depends on both.
-	as4  bool
-	afis [2]bool
+	key string
+	emitTarget
+	// as4 is the members' negotiated wire mode; like the target's family
+	// set it is folded into the group key because the fan-out shares
+	// marshaled bytes, whose encoding depends on both.
+	as4 bool
 
 	shards []groupShard
-
-	// flusherOnce starts the group's MRAI flusher on first membership
-	// (only when Config.MRAI > 0).
-	flusherOnce sync.Once
 }
 
-// groupShard is shard i's partition of a group: the shared Adj-RIB-Out,
-// the memoized export transform, current members, MRAI-pending
-// transitions, and worker-owned scratch. Touched only by shard worker i.
+// groupShard is shard i's partition of a group: the shared Adj-RIB-Out
+// and its current members. Touched only by shard worker i.
 //
 //bgplint:owned-by shard-worker
 type groupShard struct {
-	adjOut      *rib.GroupAdjOut
-	exportCache map[exportKey]*wire.PathAttrs
-	members     map[netaddr.Addr]*peerState
-	// pending accumulates MRAI-coalesced transitions: first-old is
-	// preserved and last-new overwritten, so a flush emits exactly the
-	// net transition (and suppresses flaps that return to the start).
-	pending map[netaddr.Prefix]groupTransition
-
-	// Scratch reused across emission runs.
-	dirty      []netaddr.Addr
-	acts       []emitItem // clean-member action stream
-	dacts      []emitItem // per-dirty-member action stream
-	pfx        []netaddr.Prefix
-	flushItems []groupEmitItem
+	adjOut  *rib.GroupAdjOut
+	members map[netaddr.Addr]*peerState
 }
 
-// groupTransition is one MRAI-pending prefix transition on a group:
-// the entry before the first change and after the last.
-type groupTransition struct {
-	old rib.GroupRoute
-	new rib.GroupRoute
-}
-
-// groupEmitItem is one group-table transition accumulated during a work
-// batch; a zero GroupRoute (nil Attrs) means "absent".
+// groupEmitItem is one group-table transition, the group table's emit
+// item; a zero GroupRoute (nil Attrs) means "absent". It carries both
+// ends because each member's view of the transition depends on who
+// originated them.
 type groupEmitItem struct {
 	prefix netaddr.Prefix
 	old    rib.GroupRoute
 	new    rib.GroupRoute
-}
-
-// emitGroup accumulates one group's transitions across a work batch.
-type emitGroup struct {
-	g     *updateGroup
-	items []groupEmitItem
-}
-
-// groupEmitBuf is the grouped analogue of emitBuf: per-group transition
-// lists that flush once at batch end.
-type groupEmitBuf struct {
-	groups []emitGroup
-	n      int
-}
-
-func (b *groupEmitBuf) add(g *updateGroup, p netaddr.Prefix, old, new rib.GroupRoute) {
-	it := groupEmitItem{prefix: p, old: old, new: new}
-	for i := 0; i < b.n; i++ {
-		if b.groups[i].g == g {
-			b.groups[i].items = append(b.groups[i].items, it)
-			return
-		}
-	}
-	if b.n < len(b.groups) {
-		eg := &b.groups[b.n]
-		eg.g = g
-		eg.items = append(eg.items[:0], it)
-	} else {
-		b.groups = append(b.groups, emitGroup{g: g, items: []groupEmitItem{it}})
-	}
-	b.n++
 }
 
 // sameAttrs compares attribute pointers: pointer equality first (attrs
@@ -141,137 +87,57 @@ func sameAttrs(a, b *wire.PathAttrs) bool {
 }
 
 // groupFor returns (creating if needed) the update group for the given
-// export treatment, and ensures its MRAI flusher is running when MRAI
-// is configured. The group adopts the first-seen export map; any later
-// member mapping to the same key has a behavior-equal map by
+// export treatment. The group adopts the first-seen export map; any
+// later member mapping to the same key has a behavior-equal map by
 // construction of the canonical key.
 func (r *Router) groupFor(ebgp bool, export *policy.RouteMap, as4 bool, afis [2]bool) *updateGroup {
 	key := rib.GroupKeyFor(ebgp, export) + fmt.Sprintf("|as4=%t|afis=%t,%t", as4, afis[0], afis[1])
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	g := r.groups[key]
 	if g == nil {
-		g = &updateGroup{key: key, ebgp: ebgp, export: export, as4: as4, afis: afis, shards: make([]groupShard, r.nshards)}
+		g = &updateGroup{
+			key:        key,
+			emitTarget: newEmitTarget(ebgp, afis, export, r.nshards),
+			as4:        as4,
+			shards:     make([]groupShard, r.nshards),
+		}
 		r.groups[key] = g
-	}
-	r.mu.Unlock()
-	if r.cfg.MRAI > 0 {
-		g.flusherOnce.Do(func() {
-			r.wg.Add(1)
-			go r.groupFlusher(g)
-		})
 	}
 	return g
 }
 
-// snapshotGroupsInto appends the current update groups to buf, reusing
-// its capacity; the grouped analogue of snapshotPeersInto.
-func (r *Router) snapshotGroupsInto(buf []*updateGroup) []*updateGroup {
-	r.mu.Lock()
-	for _, g := range r.groups {
-		buf = append(buf, g)
-	}
-	r.mu.Unlock()
-	return buf
-}
-
-// groupExportAttrs is the group-scoped mirror of exportAttrs: split
-// horizon, export policy, and eBGP transforms depend only on the
-// candidate and the group's key fields, never on an individual member,
-// which is exactly why members can share the result.
-func (r *Router) groupExportAttrs(si int, g *updateGroup, p netaddr.Prefix, c rib.Candidate) (*wire.PathAttrs, bool) {
-	// Never export a family the group's members did not negotiate.
-	if !g.afis[p.Family()] {
-		return nil, false
-	}
-	// iBGP split-horizon: do not re-advertise iBGP routes to iBGP peers.
-	if !c.Peer.EBGP && !g.ebgp {
-		return nil, false
-	}
+// applyToGroupTable is the group table's step for one Loc-RIB
+// transition: export the new best once for the whole group and record it
+// in shard si's partition of the shared Adj-RIB-Out, with its
+// originator; whatever cannot be exported withdraws the entry. A group
+// with no members on the shard is skipped entirely: its table goes stale
+// and is rebuilt from the Loc-RIB when a first member joins again.
+func (r *Router) applyToGroupTable(si int, s *shard, g *updateGroup, ch rib.Change) {
 	sh := &g.shards[si]
-	cacheable := g.export == nil
-	key := exportKey{attrs: c.Attrs, srcEBGP: c.Peer.EBGP}
-	if cacheable {
-		if out, ok := sh.exportCache[key]; ok {
-			return out, true
+	if len(sh.members) == 0 {
+		return
+	}
+	var to rib.GroupRoute
+	if ch.New != nil {
+		if attrs, ok := r.exportRoute(si, &g.emitTarget, ch.Prefix, *ch.New); ok {
+			to = rib.GroupRoute{Attrs: attrs, Origin: ch.New.Peer.Addr}
 		}
 	}
-	attrs, ok := g.export.Apply(p, *c.Attrs)
-	if !ok {
-		return nil, false
-	}
-	var out *wire.PathAttrs
-	if g.ebgp {
-		a := attrs.Clone()
-		a.ASPath = a.ASPath.Prepend(r.cfg.AS)
-		a.NextHop, a.HasNextHop = r.nextHopSelf(a), true
-		// LOCAL_PREF is not sent on eBGP sessions.
-		a.HasLocalPref, a.LocalPref = false, 0
-		out = r.interner.Intern(a)
+	var old rib.GroupRoute
+	var changed bool
+	if to.Attrs != nil {
+		old, _, changed = sh.adjOut.Advertise(ch.Prefix, to.Attrs, to.Origin)
 	} else {
-		out = r.interner.Intern(attrs)
+		old, changed = sh.adjOut.Withdraw(ch.Prefix)
 	}
-	if cacheable {
-		sh.exportCache[key] = out
+	switch {
+	case !changed:
+	case r.cfg.MRAI > 0:
+		g.tshards[si].pend(ch.Prefix, old)
+	default:
+		s.gemit.add(g, groupEmitItem{prefix: ch.Prefix, old: old, new: to})
 	}
-	return out, true
-}
-
-// applyChangeGrouped propagates one Loc-RIB transition into every
-// group's shared Adj-RIB-Out on this shard, recording the transition for
-// emission. Groups with no members on the shard are skipped entirely:
-// their tables go stale and are rebuilt from the Loc-RIB when a first
-// member joins again.
-func (r *Router) applyChangeGrouped(si int, ch rib.Change, geb *groupEmitBuf, groups []*updateGroup) {
-	for _, g := range groups {
-		sh := &g.shards[si]
-		if len(sh.members) == 0 {
-			continue
-		}
-		if ch.New != nil {
-			attrs, ok := r.groupExportAttrs(si, g, ch.Prefix, *ch.New)
-			if !ok {
-				if old, had := sh.adjOut.Withdraw(ch.Prefix); had {
-					geb.add(g, ch.Prefix, old, rib.GroupRoute{})
-				}
-				continue
-			}
-			if old, _, changed := sh.adjOut.Advertise(ch.Prefix, attrs, ch.New.Peer.Addr); changed {
-				geb.add(g, ch.Prefix, old, rib.GroupRoute{Attrs: attrs, Origin: ch.New.Peer.Addr})
-			}
-		} else {
-			if old, had := sh.adjOut.Withdraw(ch.Prefix); had {
-				geb.add(g, ch.Prefix, old, rib.GroupRoute{})
-			}
-		}
-	}
-}
-
-// flushGroupEmits drains the batch's accumulated group transitions: with
-// MRAI they merge into the group's pending set (worker-owned, lock-free),
-// otherwise each group's run is emitted immediately.
-func (r *Router) flushGroupEmits(si int, geb *groupEmitBuf) {
-	for i := 0; i < geb.n; i++ {
-		eg := &geb.groups[i]
-		if r.cfg.MRAI > 0 {
-			sh := &eg.g.shards[si]
-			if sh.pending == nil {
-				sh.pending = make(map[netaddr.Prefix]groupTransition)
-			}
-			for _, it := range eg.items {
-				if t, ok := sh.pending[it.prefix]; ok {
-					t.new = it.new
-					sh.pending[it.prefix] = t
-				} else {
-					sh.pending[it.prefix] = groupTransition{old: it.old, new: it.new}
-				}
-			}
-		} else {
-			r.emitGroupItems(si, eg.g, eg.items)
-		}
-		eg.g = nil
-		eg.items = eg.items[:0]
-	}
-	geb.n = 0
 }
 
 // memberEmitAction computes what one transition means for a member with
@@ -291,126 +157,104 @@ func memberEmitAction(it groupEmitItem, member netaddr.Addr) (emitItem, bool) {
 	return emitItem{}, false
 }
 
-// emitGroupItems is the fan-out core: it partitions the group's members
-// into "dirty" (an originator of some transition in the run, whose view
-// differs from the shared stream) and "clean" (everyone else), computes
-// and marshals the clean stream once, and fans the framed bytes out to
-// every clean member as one reference-counted payload. Dirty members —
-// at most the handful of distinct originators in the run — get an exact
-// per-member replay through the classic path.
-func (r *Router) emitGroupItems(si int, g *updateGroup, items []groupEmitItem) {
-	if len(items) == 0 {
+// memberActions appends to dst the action stream items amount to for one
+// member.
+func memberActions(dst []emitItem, items []groupEmitItem, member netaddr.Addr) []emitItem {
+	for _, it := range items {
+		if a, ok := memberEmitAction(it, member); ok {
+			dst = append(dst, a)
+		}
+	}
+	return dst
+}
+
+// fanOutItems is the group table's sink: it partitions the group's
+// members into "dirty" (an originator of some transition in the run,
+// whose view differs from the shared stream) and "clean" (everyone
+// else), computes and marshals the clean stream once, and fans the
+// framed bytes out to every clean member as one reference-counted
+// payload. Dirty members — at most the handful of distinct originators
+// in the run — get an exact per-member replay through the
+// single-recipient sink.
+func (r *Router) fanOutItems(si int, g *updateGroup, items []groupEmitItem) {
+	members := g.shards[si].members
+	if len(items) == 0 || len(members) == 0 {
 		return
 	}
-	sh := &g.shards[si]
-	members := sh.members
-	if len(members) == 0 {
-		return
-	}
+	s := r.shards[si]
 
 	// Dirty set: members appearing as an originator in the run.
-	sh.dirty = sh.dirty[:0]
+	s.dirty = s.dirty[:0]
 	for _, it := range items {
 		if it.old.Attrs != nil {
-			sh.dirty = addDirty(sh.dirty, it.old.Origin, members)
+			s.dirty = addDirty(s.dirty, it.old.Origin, members)
 		}
 		if it.new.Attrs != nil {
-			sh.dirty = addDirty(sh.dirty, it.new.Origin, members)
+			s.dirty = addDirty(s.dirty, it.new.Origin, members)
 		}
 	}
 
 	// Clean stream: the view of a member that originates nothing.
-	cleanCount := len(members) - len(sh.dirty)
-	if cleanCount > 0 {
-		sh.acts = sh.acts[:0]
-		for _, it := range items {
-			if a, ok := memberEmitAction(it, netaddr.Addr{}); ok {
-				sh.acts = append(sh.acts, a)
-			}
-		}
-		if len(sh.acts) > 0 {
-			r.fanOutClean(si, g, cleanCount)
+	if len(members) > len(s.dirty) {
+		if s.acts = memberActions(s.acts[:0], items, netaddr.Addr{}); len(s.acts) > 0 {
+			r.fanOutClean(si, g)
 		}
 	}
-
-	// Dirty members: exact per-member replay.
-	for _, addr := range sh.dirty {
-		ps := members[addr]
-		sh.dacts = sh.dacts[:0]
-		for _, it := range items {
-			if a, ok := memberEmitAction(it, addr); ok {
-				sh.dacts = append(sh.dacts, a)
-			}
-		}
-		if len(sh.dacts) > 0 {
-			pushEmitRuns(ps, sh.dacts, r.cfg.ExportBatch)
-		}
+	for _, addr := range s.dirty {
+		s.dacts = memberActions(s.dacts[:0], items, addr)
+		pushEmitRuns(members[addr], s.dacts, r.cfg.ExportBatch)
 	}
 }
 
-// fanOutClean packs the shard's prepared clean action stream (sh.acts)
-// into emission runs and pushes each run's framed bytes to every clean
-// member. Runs are obtained from the shard's cross-group marshal cache:
-// a run another group (or an earlier batch) already produced is fanned
-// out again by reference instead of being re-marshaled, so marshal bytes
-// scale with distinct runs, not groups × prefixes. On a marshal failure
-// (a run exceeding the wire's message bound) the remaining stream falls
-// back to per-member pushes, which fail exactly as the ungrouped path
-// would.
-func (r *Router) fanOutClean(si int, g *updateGroup, cleanCount int) {
-	sh := &g.shards[si]
+// fanOutClean sends the shard's prepared clean action stream (s.acts) to
+// every member of g outside the dirty set (s.dirty) and accounts for the
+// sharing.
+func (r *Router) fanOutClean(si int, g *updateGroup) {
 	s := r.shards[si]
-	limit := r.cfg.ExportBatch
-	totalBytes := 0
-	pushed := false
-	for i := 0; i < len(sh.acts); {
-		// Pack one run: consecutive withdrawals, or consecutive
-		// announcements sharing an interned attribute block, chunked at
-		// the export batch limit — byte-identical packing to pushEmitRuns.
-		j := i + 1
-		attrs := sh.acts[i].attrs
-		sh.pfx = sh.pfx[:0]
-		if attrs == nil {
-			for j < len(sh.acts) && sh.acts[j].attrs == nil && j-i < limit {
-				j++
-			}
-		} else {
-			for j < len(sh.acts) && sh.acts[j].attrs == attrs && j-i < limit {
-				j++
-			}
+	for addr, ps := range g.shards[si].members {
+		if !isDirtyMember(s.dirty, addr) {
+			s.recipients = append(s.recipients, ps)
 		}
-		for k := i; k < j; k++ {
-			sh.pfx = append(sh.pfx, sh.acts[k].prefix)
-		}
-		p, err := s.mcache.payloadFor(r, g.as4, attrs, sh.pfx, cleanCount)
+	}
+	n := len(s.recipients)
+	if bytes := r.sendShared(s, g.as4); bytes > 0 {
+		r.groupRuns.Add(1)
+		r.groupSends.Add(uint64(n))
+		r.groupBytesBuilt.Add(uint64(bytes))
+		r.groupBytesSaved.Add(uint64(bytes * (n - 1)))
+	}
+}
+
+// sendShared is the shared-payload sink: each run of the shard's action
+// stream (s.acts) is framed once and every one of s.recipients, which it
+// consumes, is handed a reference to the bytes; it returns their total.
+// Runs come from the shard's cross-group marshal cache: a run another
+// group (or an earlier batch, or another member's replay) already
+// produced is sent again by reference instead of being re-marshaled, so
+// marshal bytes scale with distinct runs, not groups × prefixes. A run
+// that cannot be marshaled (it exceeds the wire's message bound) goes
+// out as a plain UPDATE per recipient, which then fails in the session
+// exactly as a peer table's would.
+func (r *Router) sendShared(s *shard, as4 bool) (bytes int) {
+	for i, j := 0, 0; i < len(s.acts); i = j {
+		j = runEnd(s.acts, i, r.cfg.ExportBatch)
+		run := s.acts[i:j]
+		s.pfx = runPrefixes(s.pfx[:0], run)
+		p, err := s.mcache.payloadFor(r, as4, run[0].attrs, s.pfx, len(s.recipients))
 		if err != nil {
-			for addr, ps := range sh.members {
-				if isDirtyMember(sh.dirty, addr) {
-					continue
-				}
-				pushEmitRuns(ps, sh.acts[i:], limit)
+			for _, ps := range s.recipients {
+				ps.out.push(runUpdate(run))
 			}
-			break
+			continue
 		}
-		totalBytes += len(p.Bytes())
-		for addr, ps := range sh.members {
-			if isDirtyMember(sh.dirty, addr) {
-				continue
-			}
+		bytes += len(p.Bytes())
+		for _, ps := range s.recipients {
 			ps.out.pushShared(p)
 		}
-		pushed = true
-		i = j
 	}
-	if !pushed {
-		return
-	}
-	r.groupRuns.Add(1)
-	r.groupSends.Add(uint64(cleanCount))
-	r.groupBytesBuilt.Add(uint64(totalBytes))
-	if cleanCount > 1 {
-		r.groupBytesSaved.Add(uint64(totalBytes * (cleanCount - 1)))
-	}
+	clear(s.recipients)
+	s.recipients = s.recipients[:0]
+	return bytes
 }
 
 // addDirty appends an originating member to the dirty set once.
@@ -438,50 +282,6 @@ func isDirtyMember(dirty []netaddr.Addr, addr netaddr.Addr) bool {
 	return false
 }
 
-// processGroupFlush drains a group's MRAI-pending transitions on shard
-// si. It runs on the shard worker (enqueued by the group flusher), so
-// pending/members/adjOut remain worker-owned. Net-no-op transitions
-// (the table returned to its pre-window state) are suppressed and
-// counted — the grouped analogue of per-peer MRAI suppression.
-func (r *Router) processGroupFlush(si int, g *updateGroup) {
-	sh := &g.shards[si]
-	if len(sh.pending) == 0 {
-		return
-	}
-	pending := sh.pending
-	sh.pending = nil
-	items := sh.flushItems[:0]
-	for p, t := range pending {
-		if t.old.Attrs == t.new.Attrs && t.old.Origin == t.new.Origin {
-			r.groupSuppressed.Add(1)
-			continue
-		}
-		items = append(items, groupEmitItem{prefix: p, old: t.old, new: t.new})
-	}
-	r.emitGroupItems(si, g, items)
-	sh.flushItems = items[:0]
-}
-
-// groupFlusher ticks every MRAI and schedules a flush of the group's
-// pending transitions on every shard worker.
-func (r *Router) groupFlusher(g *updateGroup) {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.MRAI)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-t.C:
-			for i := range r.shards {
-				if !r.send(i, workItem{kind: workGroupFlush, group: g}) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // processPeerUpGrouped registers a grouped peer on shard si. The first
 // member on a shard gets a fresh group table plus a chunked rebuild from
 // the Loc-RIB (the table may be missing or stale: changes are not
@@ -499,8 +299,7 @@ func (r *Router) processPeerUpGrouped(si int, ps *peerState) {
 	}
 	if len(sh.members) == 0 {
 		sh.adjOut = rib.NewGroupAdjOut()
-		sh.exportCache = make(map[exportKey]*wire.PathAttrs)
-		sh.pending = nil
+		g.tshards[si] = targetShard{exportCache: make(map[exportKey]*wire.PathAttrs)}
 		sh.members[ps.info.Addr] = ps
 		r.scheduleGroupRebuild(si, g)
 		return
@@ -627,13 +426,13 @@ func (r *Router) rebuildChunk(si int, c *groupCatchup, sh *groupShard) bool {
 		end = len(c.prefixes)
 	}
 	shardRIB := r.rib.Shard(si)
-	items := sh.flushItems[:0]
+	items := r.shards[si].gitems[:0]
 	for _, p := range c.prefixes[c.cursor:end] {
 		cand, ok := shardRIB.Lookup(p)
 		if !ok {
 			continue
 		}
-		attrs, ok := r.groupExportAttrs(si, c.g, p, cand)
+		attrs, ok := r.exportRoute(si, &c.g.emitTarget, p, cand)
 		if !ok {
 			continue
 		}
@@ -641,8 +440,8 @@ func (r *Router) rebuildChunk(si int, c *groupCatchup, sh *groupShard) bool {
 			items = append(items, groupEmitItem{prefix: p, old: old, new: rib.GroupRoute{Attrs: attrs, Origin: cand.Peer.Addr}})
 		}
 	}
-	r.emitGroupItems(si, c.g, items)
-	sh.flushItems = items[:0]
+	r.fanOutItems(si, c.g, items)
+	r.shards[si].gitems = items[:0]
 	c.cursor = end
 	r.groupRebuildChunks.Add(1)
 	if c.cursor >= len(c.prefixes) {
@@ -653,10 +452,9 @@ func (r *Router) rebuildChunk(si int, c *groupCatchup, sh *groupShard) bool {
 }
 
 // replayChunk advances a member catch-up replay: re-read each snapshot
-// key from the group table and stream the member's view of it. Runs
-// sharing an interned attribute block pack into one UPDATE and come from
-// the shard's marshal cache, so members joining the same group replay
-// the same bytes without re-marshaling them.
+// key from the group table and stream the member's view of it through
+// the shared-payload sink, so members joining the same group replay the
+// same bytes without re-marshaling them.
 func (r *Router) replayChunk(si int, c *groupCatchup, sh *groupShard) bool {
 	addr := c.member.info.Addr
 	if sh.members[addr] != c.member {
@@ -668,38 +466,14 @@ func (r *Router) replayChunk(si int, c *groupCatchup, sh *groupShard) bool {
 		end = len(c.prefixes)
 	}
 	s := r.shards[si]
-	limit := r.cfg.ExportBatch
-	pfx := sh.pfx[:0]
-	var runAttrs *wire.PathAttrs
-	//bgplint:allow(shardowner) reason=flush is a function-local closure called only below in this same worker-owned frame; the catch-up never leaves shard worker si
-	flush := func() {
-		if len(pfx) == 0 {
-			return
-		}
-		if p, err := s.mcache.payloadFor(r, c.g.as4, runAttrs, pfx, 1); err == nil {
-			c.member.out.pushShared(p)
-		} else {
-			// Over-bound run: push the unmarshaled UPDATE and let the
-			// session layer fail it exactly as the ungrouped path would.
-			c.member.out.push(wire.Update{Attrs: *runAttrs, NLRI: append([]netaddr.Prefix(nil), pfx...)})
-		}
-		pfx = pfx[:0]
-	}
+	s.acts = s.acts[:0]
 	for _, p := range c.prefixes[c.cursor:end] {
-		gr, ok := sh.adjOut.Lookup(p)
-		if !ok || gr.Origin == addr {
-			continue
+		if gr, ok := sh.adjOut.Lookup(p); ok && gr.Origin != addr {
+			s.acts = append(s.acts, emitItem{prefix: p, attrs: gr.Attrs})
 		}
-		if len(pfx) > 0 && (gr.Attrs != runAttrs || len(pfx) >= limit) {
-			flush()
-		}
-		if len(pfx) == 0 {
-			runAttrs = gr.Attrs
-		}
-		pfx = append(pfx, p)
 	}
-	flush()
-	sh.pfx = pfx[:0]
+	s.recipients = append(s.recipients, c.member)
+	r.sendShared(s, c.g.as4)
 	c.cursor = end
 	r.groupRebuildChunks.Add(1)
 	if c.cursor >= len(c.prefixes) {
@@ -746,7 +520,7 @@ type GroupStats struct {
 	// (payload size × (recipients−1)).
 	BytesBuilt, BytesSaved uint64
 	// Suppressed counts MRAI net-no-op transitions dropped before
-	// emission.
+	// emission, on group tables and per-peer tables alike.
 	Suppressed uint64
 	// BytesMarshaled is the bytes actually encoded by the shared marshal
 	// cache (misses only); BytesBuilt / BytesMarshaled is the marshal
@@ -780,7 +554,7 @@ func (r *Router) GroupStats() GroupStats {
 		Sends:          r.groupSends.Load(),
 		BytesBuilt:     r.groupBytesBuilt.Load(),
 		BytesSaved:     r.groupBytesSaved.Load(),
-		Suppressed:     r.groupSuppressed.Load(),
+		Suppressed:     r.mraiSuppressed.Load(),
 		BytesMarshaled: r.groupBytesMarshaled.Load(),
 		CacheHits:      r.groupCacheHits.Load(),
 		CacheMisses:    r.groupCacheMisses.Load(),

@@ -265,7 +265,7 @@ func BenchmarkGroupRebuild(b *testing.B) {
 				// Forget the group table so the rebuild re-advertises and
 				// re-emits the whole Loc-RIB, as a first-member join does.
 				sh.adjOut = rib.NewGroupAdjOut()
-				sh.exportCache = make(map[exportKey]*wire.PathAttrs)
+				recv.group.tshards[0].exportCache = make(map[exportKey]*wire.PathAttrs)
 				r.scheduleGroupRebuild(0, recv.group)
 				drain()
 			}

@@ -1,8 +1,6 @@
 package rib
 
 import (
-	"sort"
-
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/wire"
 )
@@ -22,25 +20,26 @@ func NewAdjOut() *AdjOut {
 	return &AdjOut{routes: make(map[netaddr.Prefix]*wire.PathAttrs)}
 }
 
-// Advertise records that attrs were advertised for prefix. It reports
-// whether this differs from what the peer already holds (i.e. whether an
-// UPDATE must be sent).
-func (o *AdjOut) Advertise(prefix netaddr.Prefix, attrs *wire.PathAttrs) bool {
-	if cur, ok := o.routes[prefix]; ok && attrsEqual(cur, attrs) {
-		return false
+// Advertise records that attrs were advertised for prefix. It returns
+// what the peer held before (nil: nothing) and reports whether attrs
+// differ from it (i.e. whether an UPDATE must be sent).
+func (o *AdjOut) Advertise(prefix netaddr.Prefix, attrs *wire.PathAttrs) (old *wire.PathAttrs, changed bool) {
+	old, had := o.routes[prefix]
+	if had && attrsEqual(old, attrs) {
+		return old, false
 	}
 	o.routes[prefix] = attrs
-	return true
+	return old, true
 }
 
-// Withdraw records the withdrawal of a prefix, reporting whether the peer
-// actually held it.
-func (o *AdjOut) Withdraw(prefix netaddr.Prefix) bool {
-	if _, ok := o.routes[prefix]; !ok {
-		return false
+// Withdraw records the withdrawal of a prefix, returning what the peer
+// held and reporting whether it held anything.
+func (o *AdjOut) Withdraw(prefix netaddr.Prefix) (old *wire.PathAttrs, had bool) {
+	old, had = o.routes[prefix]
+	if had {
+		delete(o.routes, prefix)
 	}
-	delete(o.routes, prefix)
-	return true
+	return old, had
 }
 
 // Lookup returns the attributes last advertised for prefix.
@@ -54,12 +53,7 @@ func (o *AdjOut) Len() int { return len(o.routes) }
 
 // Walk visits advertised routes in prefix order until fn returns false.
 func (o *AdjOut) Walk(fn func(netaddr.Prefix, *wire.PathAttrs) bool) {
-	prefixes := make([]netaddr.Prefix, 0, len(o.routes))
-	for p := range o.routes {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
-	for _, p := range prefixes {
+	for _, p := range sortedPrefixes(make([]netaddr.Prefix, 0, len(o.routes)), o.routes, nil) {
 		if !fn(p, o.routes[p]) {
 			return
 		}

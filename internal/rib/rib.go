@@ -8,6 +8,7 @@ package rib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -140,16 +141,9 @@ func (r *RIB) Withdraw(peer netaddr.Addr, prefix netaddr.Prefix) (Change, bool) 
 // and unregisters it. The returned changes are in prefix order for
 // deterministic downstream processing.
 func (r *RIB) RemovePeer(peer netaddr.Addr) []Change {
-	var prefixes []netaddr.Prefix
-	for p, e := range r.loc {
-		for i := range e.cands {
-			if e.cands[i].Peer.Addr == peer {
-				prefixes = append(prefixes, p)
-				break
-			}
-		}
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
+	prefixes := sortedPrefixes(nil, r.loc, func(e *locEntry) bool {
+		return slices.ContainsFunc(e.cands, func(c Candidate) bool { return c.Peer.Addr == peer })
+	})
 	var changes []Change
 	for _, p := range prefixes {
 		if ch, ok := r.Withdraw(peer, p); ok {
@@ -209,13 +203,22 @@ func (r *RIB) Lookup(prefix netaddr.Prefix) (Candidate, bool) {
 // Lookup at chunk-processing time so entries that changed after the
 // snapshot are never replayed stale.
 func (r *RIB) LocPrefixesInto(buf []netaddr.Prefix) []netaddr.Prefix {
-	for p, e := range r.loc {
-		if e.best == nil {
-			continue
+	return sortedPrefixes(buf, r.loc, hasBest)
+}
+
+func hasBest(e *locEntry) bool { return e.best != nil }
+
+// sortedPrefixes appends to buf the keys of m whose value keep admits
+// (nil: every key) and returns buf in prefix order: the one order every
+// table walk and key snapshot of this package visits in, which is what
+// makes advertisement streams and digests deterministic.
+func sortedPrefixes[V any](buf []netaddr.Prefix, m map[netaddr.Prefix]V, keep func(V) bool) []netaddr.Prefix {
+	for p, v := range m {
+		if keep == nil || keep(v) {
+			buf = append(buf, p)
 		}
-		buf = append(buf, p)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].Compare(buf[j]) < 0 })
+	slices.SortFunc(buf, netaddr.Prefix.Compare)
 	return buf
 }
 
@@ -243,17 +246,8 @@ func (r *RIB) UnregisteredDrops() uint64 { return r.unregisteredDrops.Load() }
 // WalkLoc visits every Loc-RIB best route in prefix order until fn returns
 // false. The ordering makes Phase 2 advertisement streams deterministic.
 func (r *RIB) WalkLoc(fn func(netaddr.Prefix, Candidate) bool) {
-	prefixes := make([]netaddr.Prefix, 0, len(r.loc))
-	for p := range r.loc {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
-	for _, p := range prefixes {
-		e := r.loc[p]
-		if e.best == nil {
-			continue
-		}
-		if !fn(p, *e.best) {
+	for _, p := range sortedPrefixes(make([]netaddr.Prefix, 0, len(r.loc)), r.loc, hasBest) {
+		if !fn(p, *r.loc[p].best) {
 			return
 		}
 	}

@@ -223,23 +223,23 @@ func TestAdjOutDedup(t *testing.T) {
 	p := pfx("10.0.0.0/8")
 	a := baseAttrs(1, 2)
 
-	if !o.Advertise(p, a) {
-		t.Fatal("first advertise should report a change")
+	if old, changed := o.Advertise(p, a); !changed || old != nil {
+		t.Fatalf("first advertise = (%v, %v), want a change from nothing", old, changed)
 	}
-	if o.Advertise(p, a) {
-		t.Fatal("identical re-advertise should be suppressed")
+	if old, changed := o.Advertise(p, a); changed || old != a {
+		t.Fatal("identical re-advertise should be suppressed and return the held attrs")
 	}
 	b := baseAttrs(1, 2, 3)
-	if !o.Advertise(p, b) {
-		t.Fatal("changed attributes should report a change")
+	if old, changed := o.Advertise(p, b); !changed || old != a {
+		t.Fatal("changed attributes should report a change from the previous attrs")
 	}
 	if got, ok := o.Lookup(p); !ok || !attrsEqual(got, b) {
 		t.Fatal("Lookup returned wrong attrs")
 	}
-	if !o.Withdraw(p) {
-		t.Fatal("withdraw of advertised prefix should report a change")
+	if old, had := o.Withdraw(p); !had || old != b {
+		t.Fatal("withdraw of advertised prefix should return what was held")
 	}
-	if o.Withdraw(p) {
+	if old, had := o.Withdraw(p); had || old != nil {
 		t.Fatal("double withdraw should be suppressed")
 	}
 	if o.Len() != 0 {

@@ -2,7 +2,6 @@ package rib
 
 import (
 	"fmt"
-	"sort"
 
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/policy"
@@ -85,21 +84,12 @@ func (o *GroupAdjOut) MemberLen(member netaddr.Addr) int {
 // member catch-up replay walks, re-reading each entry via Lookup at
 // chunk time.
 func (o *GroupAdjOut) PrefixesInto(buf []netaddr.Prefix) []netaddr.Prefix {
-	for p := range o.routes {
-		buf = append(buf, p)
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].Compare(buf[j]) < 0 })
-	return buf
+	return sortedPrefixes(buf, o.routes, nil)
 }
 
 // Walk visits group entries in prefix order until fn returns false.
 func (o *GroupAdjOut) Walk(fn func(netaddr.Prefix, GroupRoute) bool) {
-	prefixes := make([]netaddr.Prefix, 0, len(o.routes))
-	for p := range o.routes {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Compare(prefixes[j]) < 0 })
-	for _, p := range prefixes {
+	for _, p := range sortedPrefixes(make([]netaddr.Prefix, 0, len(o.routes)), o.routes, nil) {
 		if !fn(p, o.routes[p]) {
 			return
 		}

@@ -183,7 +183,7 @@ func (a PathAttrs) String() string {
 // present), which keeps it byte-identical to the historical encoding for
 // any attribute set expressible before RFC 6793 support.
 func MarshalAttrs(a PathAttrs) []byte {
-	return a.appendWire(nil)
+	return a.appendWireMode(nil, false, nil, nil)
 }
 
 // UnmarshalAttrs decodes a path-attribute block (the inverse of
@@ -205,12 +205,6 @@ func appendAttrHeader(dst []byte, flags byte, typ AttrType, valLen int) []byte {
 		return append(dst, flags, byte(typ), byte(valLen>>8), byte(valLen))
 	}
 	return append(dst, flags, byte(typ), byte(valLen))
-}
-
-// appendWire appends the canonical path attribute block: 2-octet AS mode
-// with no NLRI folded into the MP attributes.
-func (a PathAttrs) appendWire(dst []byte) []byte {
-	return a.appendWireMode(dst, false, nil, nil)
 }
 
 // appendWireMode appends the full path attribute block. Attributes are
@@ -353,14 +347,8 @@ type mpAttrData struct {
 	hasNextHop bool
 }
 
-// parseAttrs decodes a path attribute block of exactly len(b) bytes in
-// 2-octet canonical mode, discarding MP payload data.
-func parseAttrs(b []byte) (PathAttrs, error) {
-	a, _, err := parseAttrsMode(b, false)
-	return a, err
-}
-
-// parseAttrsMode decodes a path attribute block. as4 selects the AS_PATH
+// parseAttrsMode decodes a path attribute block of exactly len(b) bytes.
+// as4 selects the AS_PATH
 // and AGGREGATOR encoding negotiated for the session (RFC 6793); in
 // 2-octet mode AS4_PATH/AS4_AGGREGATOR are merged per RFC 6793 4.2.3.
 func parseAttrsMode(b []byte, as4 bool) (PathAttrs, mpAttrData, error) {

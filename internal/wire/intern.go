@@ -33,7 +33,8 @@ func NewIntern() *Intern {
 // Intern returns the canonical pointer for a, inserting a deep copy on
 // first sight. Safe for concurrent use.
 func (t *Intern) Intern(a PathAttrs) *PathAttrs {
-	key := a.appendWire(make([]byte, 0, 64))
+	// The key is the canonical block MarshalAttrs produces.
+	key := a.appendWireMode(make([]byte, 0, 64), false, nil, nil)
 	t.mu.RLock()
 	p := t.m[string(key)]
 	t.mu.RUnlock()

@@ -16,22 +16,18 @@ type Message interface {
 }
 
 // Marshal renders a complete BGP message: marker, length, type, body.
+// UPDATEs are encoded in canonical 2-octet-AS mode.
 func Marshal(m Message) ([]byte, error) {
-	return AppendMessage(make([]byte, 0, HeaderLen+64), m)
+	return AppendMessageMode(make([]byte, 0, HeaderLen+64), m, false)
 }
 
-// AppendMessage appends the complete wire encoding of m (marker, length,
-// type, body) to dst and returns the extended slice. Senders that encode
-// many messages reuse one buffer across calls instead of allocating per
-// message as Marshal does. UPDATEs are encoded in canonical 2-octet-AS
-// mode; use AppendMessageMode for a session that negotiated 4-octet ASNs.
-func AppendMessage(dst []byte, m Message) ([]byte, error) {
-	return AppendMessageMode(dst, m, false)
-}
-
-// AppendMessageMode is AppendMessage with the session's AS encoding mode:
-// when as4 is true, UPDATE AS_PATH/AGGREGATOR attributes are written with
-// 4-octet ASNs and no AS4_PATH shadow attribute (RFC 6793).
+// AppendMessageMode appends the complete wire encoding of m (marker,
+// length, type, body) to dst and returns the extended slice. Senders that
+// encode many messages reuse one buffer across calls instead of
+// allocating per message as Marshal does. as4 is the session's AS
+// encoding mode: when true, UPDATE AS_PATH/AGGREGATOR attributes are
+// written with 4-octet ASNs and no AS4_PATH shadow attribute (RFC 6793);
+// false is the canonical 2-octet mode.
 func AppendMessageMode(dst []byte, m Message, as4 bool) ([]byte, error) {
 	start := len(dst)
 	for i := 0; i < 16; i++ {
@@ -95,14 +91,9 @@ func ParseHeader(h []byte) (length int, typ MsgType, err error) {
 	return length, typ, nil
 }
 
-// ParseBody decodes a message body of the given type. body excludes the
-// 19-byte header. UPDATEs are decoded in 2-octet-AS mode; use
-// ParseBodyMode for a session that negotiated 4-octet ASNs.
-func ParseBody(typ MsgType, body []byte) (Message, error) {
-	return ParseBodyMode(typ, body, false)
-}
-
-// ParseBodyMode is ParseBody with the session's AS encoding mode.
+// ParseBodyMode decodes a message body of the given type. body excludes
+// the 19-byte header. UPDATEs are decoded in the session's AS encoding
+// mode: 4-octet ASNs when as4 is true, 2-octet otherwise.
 func ParseBodyMode(typ MsgType, body []byte, as4 bool) (Message, error) {
 	switch typ {
 	case MsgOpen:
@@ -122,7 +113,8 @@ func ParseBodyMode(typ MsgType, body []byte, as4 bool) (Message, error) {
 	return nil, notifyErrf(ErrCodeHeader, ErrSubBadMsgType, []byte{byte(typ)}, "bad message type %d", typ)
 }
 
-// Parse decodes a complete message (header + body) from b.
+// Parse decodes a complete message (header + body) from b, UPDATEs in
+// 2-octet-AS mode.
 func Parse(b []byte) (Message, error) {
 	length, typ, err := ParseHeader(b)
 	if err != nil {
@@ -131,7 +123,7 @@ func Parse(b []byte) (Message, error) {
 	if len(b) != length {
 		return nil, notifyErrf(ErrCodeHeader, ErrSubBadLength, nil, "buffer length %d != header length %d", len(b), length)
 	}
-	return ParseBody(typ, b[HeaderLen:])
+	return ParseBodyMode(typ, b[HeaderLen:], false)
 }
 
 // Open is the BGP OPEN message (RFC 4271 section 4.2). AS is the true

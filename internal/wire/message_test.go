@@ -265,7 +265,7 @@ func TestParseAttrsErrors(t *testing.T) {
 		{"communities bad length", []byte{0xC0, 8, 3, 1, 2, 3}, ErrSubOptAttr},
 	}
 	for _, c := range cases {
-		_, err := parseAttrs(c.in)
+		_, err := UnmarshalAttrs(c.in)
 		if !isNotify(err, ErrCodeUpdate, c.subcode) {
 			t.Errorf("%s: err = %v, want UPDATE subcode %d", c.name, err, c.subcode)
 		}
@@ -275,7 +275,7 @@ func TestParseAttrsErrors(t *testing.T) {
 func TestUnknownOptionalTransitivePreserved(t *testing.T) {
 	// flags: optional+transitive, type 200, len 3.
 	in := []byte{FlagOptional | FlagTransitive, 200, 3, 0xDE, 0xAD, 0xBF}
-	a, err := parseAttrs(in)
+	a, err := UnmarshalAttrs(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestUnknownOptionalTransitivePreserved(t *testing.T) {
 	}
 	// Non-transitive optional attributes are dropped.
 	in = []byte{FlagOptional, 201, 1, 0x01}
-	a, err = parseAttrs(in)
+	a, err = UnmarshalAttrs(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,13 +348,13 @@ func TestAttrFlagValidation(t *testing.T) {
 		{"communities not transitive", []byte{FlagOptional, byte(AttrCommunities), 4, 0, 1, 0, 2}},
 	}
 	for _, c := range cases {
-		if _, err := parseAttrs(c.in); !isNotify(err, ErrCodeUpdate, ErrSubAttrFlags) {
+		if _, err := UnmarshalAttrs(c.in); !isNotify(err, ErrCodeUpdate, ErrSubAttrFlags) {
 			t.Errorf("%s: err = %v, want attribute-flags error", c.name, err)
 		}
 	}
 	// Correct flags still parse.
 	good := []byte{FlagTransitive, byte(AttrOrigin), 1, 0}
-	if _, err := parseAttrs(good); err != nil {
+	if _, err := UnmarshalAttrs(good); err != nil {
 		t.Fatalf("well-formed ORIGIN rejected: %v", err)
 	}
 }
