@@ -4,105 +4,69 @@ import (
 	"time"
 
 	"bgpbench/internal/netaddr"
-	"bgpbench/internal/policy"
 	"bgpbench/internal/rib"
 	"bgpbench/internal/wire"
 )
 
 // This file is the emission pipeline: how a Loc-RIB change (Phase 2 of
 // the paper's method, the router re-advertising to Speaker 2) becomes
-// UPDATEs on a session. Every stage is written once, against an
-// emitTarget:
+// UPDATEs on a session. There is one of each stage, and one table kind:
 //
-//	target → export transform → table step → emit buffer (or, with MRAI,
-//	the pending set) → run packer → sink
+//	update group → export transform → table step → emit buffer (or, with
+//	MRAI, the pending set) → member views → run packer → sink
 //
-// The one fork is the Adj-RIB-Out table a peer was bound to at register:
-// its own rib.AdjOut (peerState.adjOut), which filters the route's
-// originator at write time, or its update group's shared rib.GroupAdjOut
-// (updategroup.go), which stores the originator and filters at read
-// time. The table decides the item type the buffer carries and the sink
-// a run ends in — out.push of a wire.Update for one recipient, a
-// marshal-cache SharedPayload for a group's clean stream — and nothing
-// else.
+// Every peer is a member of an update group (updategroup.go) and is
+// emitted from the group's one Adj-RIB-Out; a peer that shares its export
+// treatment with nobody is a group of one. The sink a run ends in is read
+// off the membership, not configured: out.push of a wire.Update for a
+// stream with one recipient, a marshal-cache SharedPayload for a stream
+// several members share.
 
-// emitTarget is the export identity an Adj-RIB-Out table emits under:
-// everything the export transform and the MRAI window depend on. A
-// peerState embeds one for its own table; an updateGroup embeds the one
-// its members share.
-type emitTarget struct {
-	ebgp    bool
-	afis    [2]bool          // negotiated families; others are never exported
-	export  *policy.RouteMap // nil permits everything unchanged
-	tshards []targetShard    // one per shard; named apart from updateGroup.shards
-}
-
-// targetShard is shard i's slice of a target. Touched only by shard
-// worker i.
-//
-//bgplint:owned-by shard-worker
-type targetShard struct {
-	// exportCache memoizes the export transform keyed by canonical input
-	// attrs. Only consulted when the target has no export policy
-	// (policies may match on prefix, which the cache cannot key).
-	exportCache map[exportKey]*wire.PathAttrs
-	// pending is the open MRAI window: for every prefix whose table entry
-	// changed in it, the entry before the first change (zero: absent).
-	// The entry after the last change is the table's own.
-	pending map[netaddr.Prefix]rib.GroupRoute
-}
-
+// exportKey keys the memoized export transform.
 type exportKey struct {
 	attrs   *wire.PathAttrs
 	srcEBGP bool
 }
 
-func newEmitTarget(ebgp bool, afis [2]bool, export *policy.RouteMap, nshards int) emitTarget {
-	t := emitTarget{ebgp: ebgp, afis: afis, export: export, tshards: make([]targetShard, nshards)}
-	for i := range t.tshards {
-		t.tshards[i].exportCache = make(map[exportKey]*wire.PathAttrs)
-	}
-	return t
-}
-
-// target returns the emitTarget of the table the peer is bound to.
-func (ps *peerState) target() *emitTarget {
-	if ps.group != nil {
-		return &ps.group.emitTarget
-	}
-	return &ps.emitTarget
+// advert is one end of a table transition: what the group's table held
+// for a prefix (nil attrs: nothing) and the peer the route was learned
+// from. The table itself stores no originator (see rib.AdjOut); a
+// transition takes its two from the Loc-RIB change that caused it.
+type advert struct {
+	attrs  *wire.PathAttrs
+	origin netaddr.Addr
 }
 
 // exportRoute applies split horizon, export policy and the standard eBGP
 // transformations (own-AS prepend, next-hop-self) for a route toward a
-// target, returning an interned canonical pointer. None of it depends on
+// group, returning an interned canonical pointer. None of it depends on
 // an individual recipient, which is why a group's members can share the
-// result. When the target has no export policy the transform is memoized
+// result. When the group has no export policy the transform is memoized
 // per (input attrs, source session type), so the per-prefix
 // clone+prepend collapses into a map hit after first sight.
-func (r *Router) exportRoute(si int, t *emitTarget, p netaddr.Prefix, c rib.Candidate) (*wire.PathAttrs, bool) {
+func (r *Router) exportRoute(si int, g *updateGroup, p netaddr.Prefix, c rib.Candidate) (*wire.PathAttrs, bool) {
 	// Never export a family the session did not negotiate.
-	if !t.afis[p.Family()] {
+	if !g.afis[p.Family()] {
 		return nil, false
 	}
 	// iBGP split-horizon: do not re-advertise iBGP routes to iBGP peers.
-	if !c.Peer.EBGP && !t.ebgp {
+	if !c.Peer.EBGP && !g.ebgp {
 		return nil, false
 	}
-	cache := t.tshards[si].exportCache
-	cacheable := t.export == nil
+	cache := g.shards[si].exportCache
+	cacheable := g.export == nil
 	key := exportKey{attrs: c.Attrs, srcEBGP: c.Peer.EBGP}
 	if cacheable {
 		if out, ok := cache[key]; ok {
 			return out, true
 		}
 	}
-	attrs, ok := t.export.Apply(p, *c.Attrs)
+	attrs, ok := g.export.Apply(p, *c.Attrs)
 	if !ok {
 		return nil, false
 	}
 	var out *wire.PathAttrs
-	if t.ebgp {
+	if g.ebgp {
 		a := attrs.Clone()
 		a.ASPath = a.ASPath.Prepend(r.cfg.AS)
 		a.NextHop, a.HasNextHop = r.nextHopSelf(a), true
@@ -130,122 +94,125 @@ func (r *Router) nextHopSelf(a wire.PathAttrs) netaddr.Addr {
 	return r.cfg.NextHop
 }
 
-// snapshotEmitTargets refreshes the shard's table scratch for one work
-// batch — the peers bound to their own table, and the update groups — so
-// r.mu stays off the per-prefix path.
+// snapshotEmitTargets refreshes the shard's scratch list of update
+// groups for one work batch, so r.mu stays off the per-prefix path. The
+// registry holds only groups with a registered member (releaseGroup).
 func (r *Router) snapshotEmitTargets(s *shard) {
-	s.peerScratch, s.groupScratch = s.peerScratch[:0], s.groupScratch[:0]
+	s.groupScratch = s.groupScratch[:0]
 	r.mu.Lock()
-	for _, ps := range r.peers {
-		if ps.group == nil {
-			s.peerScratch = append(s.peerScratch, ps)
-		}
-	}
 	for _, g := range r.groups {
 		s.groupScratch = append(s.groupScratch, g)
 	}
 	r.mu.Unlock()
 }
 
-// peerExport is the peer table's audience rule followed by the export
-// transform: a route is never advertised back to the peer it came from,
-// decided here, at write time (the group table stores the originator and
-// decides per member at read time).
-func (r *Router) peerExport(si int, ps *peerState, p netaddr.Prefix, c rib.Candidate) (*wire.PathAttrs, bool) {
-	if c.Peer.Addr == ps.info.Addr {
-		return nil, false
+// applyToTable is the table step for one Loc-RIB transition: export the
+// new best once for the whole group and record it in shard si's
+// partition of the group's Adj-RIB-Out; whatever cannot be exported
+// withdraws the entry. A route no member can see — its originator is the
+// group's only member — is not exported or stored at all, which is what
+// makes a group of one cost what a peer's own table did. A group with no
+// members on the shard is skipped entirely: its table goes stale and is
+// rebuilt from the Loc-RIB when a first member joins again.
+func (r *Router) applyToTable(si int, s *shard, g *updateGroup, ch rib.Change) {
+	sh := &g.shards[si]
+	if len(sh.members) == 0 {
+		return
 	}
-	return r.exportRoute(si, &ps.emitTarget, p, c)
-}
-
-// applyToPeerTable is the peer table's step for one Loc-RIB transition:
-// export the new best toward ps and record it in shard si's partition of
-// its Adj-RIB-Out; whatever cannot be exported withdraws what the peer
-// held.
-func (r *Router) applyToPeerTable(si int, s *shard, ps *peerState, ch rib.Change) {
-	var attrs *wire.PathAttrs
-	if ch.New != nil {
-		attrs, _ = r.peerExport(si, ps, ch.Prefix, *ch.New)
+	it := groupEmitItem{prefix: ch.Prefix}
+	if ch.New != nil && sh.visible(ch.New.Peer.Addr) {
+		if attrs, ok := r.exportRoute(si, g, ch.Prefix, *ch.New); ok {
+			it.new = advert{attrs: attrs, origin: ch.New.Peer.Addr}
+		}
 	}
-	var old *wire.PathAttrs
 	var changed bool
-	if attrs != nil {
-		old, changed = ps.adjOut[si].Advertise(ch.Prefix, attrs)
+	if it.new.attrs != nil {
+		it.old.attrs, changed = sh.adjOut.Advertise(ch.Prefix, it.new.attrs)
 	} else {
-		old, changed = ps.adjOut[si].Withdraw(ch.Prefix)
+		it.old.attrs, changed = sh.adjOut.Withdraw(ch.Prefix)
+	}
+	// An entry is the export of the Loc-RIB best, so the one this
+	// transition replaces was learned from ch.Old's peer. The same bytes
+	// from another originator still change two members' views.
+	if it.old.attrs != nil && ch.Old != nil {
+		it.old.origin = ch.Old.Peer.Addr
+		changed = changed || it.old.origin != it.new.origin
 	}
 	switch {
 	case !changed:
 	case r.cfg.MRAI > 0:
-		ps.tshards[si].pend(ch.Prefix, rib.GroupRoute{Attrs: old})
+		sh.pend(ch.Prefix, it.old)
 	default:
-		s.emit.add(ps, emitItem{prefix: ch.Prefix, attrs: attrs})
+		s.emit.add(g, it)
 	}
 }
 
-// emitItem is one queued route change toward a recipient; attrs == nil
-// means withdraw.
+// groupEmitItem is one table transition, the emit buffer's item; a zero
+// advert (nil attrs) means "absent". It carries both ends because each
+// member's view of the transition depends on who originated them.
+type groupEmitItem struct {
+	prefix netaddr.Prefix
+	old    advert
+	new    advert
+}
+
+// emitItem is one route change toward a recipient, what a transition
+// amounts to in one member's view; attrs == nil means withdraw.
 type emitItem struct {
 	prefix netaddr.Prefix
 	attrs  *wire.PathAttrs
 }
 
-// emitSlot accumulates one table's changes across a work batch, in
+// emitSlot accumulates one group's transitions across a work batch, in
 // decision order.
-type emitSlot[K comparable, T any] struct {
-	key   K
-	items []T
+type emitSlot struct {
+	g     *updateGroup
+	items []groupEmitItem
 }
 
-// emitBuf collects a work batch's emissions per table — K is the table's
-// owner (*peerState or *updateGroup), T its item type — so each table's
+// emitBuf collects a work batch's transitions per group, so each group's
 // outbound changes flush once at batch end instead of one queue push per
 // change. Slots and their item buffers are reused across batches;
 // slots[:n] are active.
-type emitBuf[K comparable, T any] struct {
-	slots []emitSlot[K, T]
+type emitBuf struct {
+	slots []emitSlot
 	n     int
 }
 
-// add appends a change for k. The linear scan is over the handful of
-// tables touched this batch, which is small in every benchmark topology.
-func (b *emitBuf[K, T]) add(k K, it T) {
+// add appends a transition for g. The linear scan is over the handful of
+// groups touched this batch, which is small in every benchmark topology.
+func (b *emitBuf) add(g *updateGroup, it groupEmitItem) {
 	for i := 0; i < b.n; i++ {
-		if b.slots[i].key == k {
+		if b.slots[i].g == g {
 			b.slots[i].items = append(b.slots[i].items, it)
 			return
 		}
 	}
 	if b.n == len(b.slots) {
-		b.slots = append(b.slots, emitSlot[K, T]{})
+		b.slots = append(b.slots, emitSlot{})
 	}
-	b.slots[b.n].key = k
+	b.slots[b.n].g = g
 	b.slots[b.n].items = append(b.slots[b.n].items[:0], it)
 	b.n++
 }
 
-// reset retires the active slots, dropping their owner references.
-func (b *emitBuf[K, T]) reset() {
-	var none K
+// reset retires the active slots, dropping their group references.
+func (b *emitBuf) reset() {
 	for i := 0; i < b.n; i++ {
-		b.slots[i].key = none
+		b.slots[i].g = nil
 	}
 	b.n = 0
 }
 
-// flushEmits drains the batch's accumulated emissions, each table's
-// through its sink. Consecutive runs pack into few UPDATEs while
-// preserving the exact per-prefix transition order a per-change emission
-// would have produced.
+// flushEmits drains the batch's accumulated transitions, each group's
+// through its members' sinks. Consecutive runs pack into few UPDATEs
+// while preserving the exact per-prefix transition order a per-change
+// emission would have produced.
 func (r *Router) flushEmits(si int, s *shard) {
 	for _, e := range s.emit.slots[:s.emit.n] {
-		pushEmitRuns(e.key, e.items, r.cfg.ExportBatch)
+		r.fanOutItems(si, e.g, e.items)
 	}
 	s.emit.reset()
-	for _, e := range s.gemit.slots[:s.gemit.n] {
-		r.fanOutItems(si, e.key, e.items)
-	}
-	s.gemit.reset()
 }
 
 // runEnd is the run packer: it returns the end of the emission run that
@@ -254,8 +221,8 @@ func (r *Router) flushEmits(si int, s *shard) {
 // batch limit; it travels as one UPDATE. Packing never reorders or
 // coalesces across a run boundary, so a recipient observes the same
 // per-prefix transition sequence as with one UPDATE per change. Every
-// emitter cuts its stream here, which is what makes a group's shared
-// stream byte-identical to the per-peer one.
+// emitter cuts its stream here, which is what makes a shared stream
+// byte-identical to the one a lone recipient is sent.
 func runEnd(items []emitItem, i, limit int) int {
 	j := i + 1
 	for j < len(items) && items[j].attrs == items[i].attrs && j-i < limit {
@@ -291,37 +258,20 @@ func pushEmitRuns(ps *peerState, items []emitItem, limit int) {
 	}
 }
 
-// exportLocRIB sends shard si's Loc-RIB slice to a peer with its own
-// table, skipping what its Adj-RIB-Out partition already advertises: the
-// initial table transfer (Phase 2 of the benchmark methodology), in
-// prefix order.
-func (r *Router) exportLocRIB(si int, ps *peerState) {
-	var items []emitItem
-	r.rib.Shard(si).WalkLoc(func(p netaddr.Prefix, c rib.Candidate) bool {
-		if attrs, ok := r.peerExport(si, ps, p, c); ok {
-			if _, changed := ps.adjOut[si].Advertise(p, attrs); changed {
-				items = append(items, emitItem{prefix: p, attrs: attrs})
-			}
-		}
-		return true
-	})
-	pushEmitRuns(ps, items, r.cfg.ExportBatch)
-}
-
 // pend notes, for an MRAI-held change, what the table held before it —
 // once per prefix and window.
-func (ts *targetShard) pend(p netaddr.Prefix, old rib.GroupRoute) {
-	if ts.pending == nil {
-		ts.pending = make(map[netaddr.Prefix]rib.GroupRoute)
+func (sh *groupShard) pend(p netaddr.Prefix, old advert) {
+	if sh.pending == nil {
+		sh.pending = make(map[netaddr.Prefix]advert)
 	}
-	if _, open := ts.pending[p]; !open {
-		ts.pending[p] = old
+	if _, open := sh.pending[p]; !open {
+		sh.pending[p] = old
 	}
 }
 
 // mraiTicker is the router's one MRAI goroutine, whatever the number of
 // peers, groups or session bounces: every interval it asks each shard
-// worker to flush the windows of the tables it serves, so the pending
+// worker to flush the windows of the groups it serves, so the pending
 // sets stay worker-owned.
 func (r *Router) mraiTicker() {
 	defer r.wg.Done()
@@ -341,37 +291,29 @@ func (r *Router) mraiTicker() {
 	}
 }
 
-// flushMRAI closes shard si's MRAI window on the table ps is bound to
-// and emits each held prefix's net transition, first-old to the table's
-// current entry. A prefix that returned to where the window found it is
-// suppressed and counted. A group's window closes with the first member
-// that gets here; for the others it is already empty.
-func (r *Router) flushMRAI(si int, s *shard, ps *peerState) {
-	ts := &ps.target().tshards[si]
-	if len(ts.pending) == 0 {
+// flushMRAI closes shard si's MRAI window on g's table and emits each
+// held prefix's net transition, first-old to the table's current entry
+// (whose originator is the Loc-RIB best's). A prefix that returned to
+// where the window found it is suppressed and counted.
+func (r *Router) flushMRAI(si int, s *shard, g *updateGroup) {
+	sh := &g.shards[si]
+	if len(sh.pending) == 0 {
 		return
 	}
-	pending := ts.pending
-	ts.pending = nil
-	if g := ps.group; g != nil {
-		items := s.gitems[:0]
-		for p, old := range pending {
-			if cur, _ := g.shards[si].adjOut.Lookup(p); cur != old {
-				items = append(items, groupEmitItem{prefix: p, old: old, new: cur})
-			}
-		}
-		r.mraiSuppressed.Add(uint64(len(pending) - len(items)))
-		r.fanOutItems(si, g, items)
-		s.gitems = items[:0]
-		return
-	}
-	items := s.acts[:0]
+	pending := sh.pending
+	sh.pending = nil
+	shardRIB := r.rib.Shard(si)
+	items := s.gitems[:0]
 	for p, old := range pending {
-		if cur, _ := ps.adjOut[si].Lookup(p); cur != old.Attrs {
-			items = append(items, emitItem{prefix: p, attrs: cur})
+		var cur advert
+		if attrs, ok := sh.adjOut.Lookup(p); ok {
+			cur = advert{attrs: attrs, origin: shardRIB.Origin(p)}
+		}
+		if cur != old {
+			items = append(items, groupEmitItem{prefix: p, old: old, new: cur})
 		}
 	}
 	r.mraiSuppressed.Add(uint64(len(pending) - len(items)))
-	pushEmitRuns(ps, items, r.cfg.ExportBatch)
-	s.acts = items[:0]
+	r.fanOutItems(si, g, items)
+	s.gitems = items[:0]
 }

@@ -18,11 +18,11 @@ var update = flag.Bool("update", false, "rewrite testdata/emission_golden.json f
 
 const emissionGoldenPath = "testdata/emission_golden.json"
 
-// TestEmissionBytesGolden pins the UPDATE byte stream each Adj-RIB-Out
-// table emits for a fixed input with MRAI off: the per-peer stream of
-// the peer table, and the clean stream plus a dirty member's replay of
-// the group table. The pinned values were generated at the commit that
-// still had one emission path per table (PR 16); refresh them only for an
+// TestEmissionBytesGolden pins the UPDATE byte stream emitted for a fixed
+// input with MRAI off under each group keying: a group per peer, and
+// groups by export treatment (a clean stream plus a dirty member's own).
+// The pinned values were generated at the commit that still had a table
+// kind and an emission path per keying (PR 16); refresh them only for an
 // intended wire change:
 //
 //	go test ./internal/core -run TestEmissionBytesGolden -update

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/rib"
@@ -234,13 +237,11 @@ func TestPeerLifecycleInterleavings(t *testing.T) {
 }
 
 // adjOutLen counts the routes the router currently advertises to a peer,
-// through the same per-shard work item DumpAdjOut uses.
+// through the same per-shard query DumpAdjOut asks.
 func adjOutLen(r *Router, peerID netaddr.Addr) int {
-	reply := make(chan []AdjRoute, 1)
 	n := 0
 	for si, s := range r.shards {
-		r.handleWork(si, s, workItem{kind: workAdjOut, peerID: peerID, adj: reply})
-		n += len(<-reply)
+		n += len(r.adjRoutes(si, s, peerID))
 	}
 	return n
 }
@@ -273,6 +274,16 @@ func TestPeerUpOvertakenBySuccessor(t *testing.T) {
 	if n := r.rib.Len(); n != len(table) {
 		t.Errorf("Loc-RIB has %d routes, want the successor's %d", n, len(table))
 	}
+	// The overtaken Up is all the shard sees of ps1, so it also counts as
+	// ps1's teardown there: once the successor is gone too, nobody holds
+	// their group in the registry.
+	if left := ps1.downLeft.Load(); left != 0 {
+		t.Errorf("ps1.downLeft = %d, want 0", left)
+	}
+	handleAll(r, capture(r, func() { h2.Down(nil, nil) }))
+	if n := r.GroupStats().Groups; n != 0 {
+		t.Errorf("%d groups registered with no peer left", n)
+	}
 }
 
 // TestRegisterRefusesOlderConnection: a bounced peer's abandoned
@@ -295,5 +306,51 @@ func TestRegisterRefusesOlderConnection(t *testing.T) {
 	defer live.out.mu.Unlock()
 	if live.out.closed {
 		t.Fatal("live registration's out-queue closed")
+	}
+}
+
+// TestRouterForgetsFinishedSessions: connections that come and go must
+// cost the router nothing lasting. An inbound session ends with its
+// connection — a port scan's connect-and-close as much as an established
+// peer's bounce — and the router lets go of it then, not at Stop.
+func TestRouterForgetsFinishedSessions(t *testing.T) {
+	r := mustStartRouter(t, testRouterConfig(NeighborConfig{AS: 65001}))
+	defer r.Stop()
+	held := func() int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.sessions)
+	}
+	sp := dialSpeaker(t, r, 65001, "1.1.1.1")
+	// A route in the Loc-RIB says the router's side of the session is all
+	// there: its Up, which follows the start of its sender, has been
+	// handled.
+	sp.announce(t, GenerateTable(TableGenConfig{N: 1, Seed: 1, FirstAS: 65001}), 1)
+	waitFor(t, 5*time.Second, func() bool { return r.RIBLen() == 1 })
+	baseGoroutines, baseSessions := runtime.NumGoroutine(), held()
+
+	for i := 0; i < 200; i++ {
+		conn, err := net.Dial("tcp", r.ListenAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	for i := 0; i < 6; i++ {
+		sp.stop()
+		waitFor(t, 5*time.Second, func() bool { return len(r.PeerIDs()) == 0 })
+		sp = dialSpeaker(t, r, 65001, "1.1.1.1")
+	}
+	defer sp.stop()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for (held() > baseSessions || runtime.NumGoroutine() > baseGoroutines) && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := held(); n > baseSessions {
+		t.Errorf("router holds %d sessions, %d before the connections came and went", n, baseSessions)
+	}
+	if n := runtime.NumGoroutine(); n > baseGoroutines {
+		t.Errorf("%d goroutines, %d before the connections came and went", n, baseGoroutines)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,13 +89,15 @@ type Config struct {
 	// without cross-shard locking. Defaults to GOMAXPROCS; 1 reproduces
 	// the classic single-decision-worker pipeline.
 	Shards int
-	// UpdateGroups selects the Adj-RIB-Out table a peer is bound to when
-	// it registers: its own (false), or the one shared by its update
-	// group (true) — peers bucketed by canonical export-policy key
-	// (rib.GroupKeyFor), so each route change is exported once per group,
-	// marshaled once, and the bytes fanned out to every member session.
-	// Per-peer digests are unchanged; only the amount of repeated work
-	// is. See internal/core/emit.go and updategroup.go.
+	// UpdateGroups selects the key of the update group a peer is bound to
+	// when it registers, and nothing else — every peer is emitted from
+	// its group's one Adj-RIB-Out either way. True: the canonical
+	// export-policy key (rib.GroupKeyFor), so peers with the same export
+	// treatment share a group, each route change is exported once per
+	// group, marshaled once, and the bytes fanned out to every member
+	// session. False: that key plus the peer's BGP ID, a group per peer.
+	// Per-peer digests are the same; only the amount of repeated work
+	// differs. See internal/core/emit.go and updategroup.go.
 	UpdateGroups bool
 }
 
@@ -102,22 +105,16 @@ type Config struct {
 // registration of a peer address, from Established to its teardown on
 // the last shard.
 //
-// A peer is bound at register to the Adj-RIB-Out table it is emitted
-// from, and the binding never changes, so shard workers read it without
-// locking. Either group is nil and the peer has its own table — the
-// embedded emitTarget and adjOut, one partition per shard, partition i
-// touched only by shard worker i — or group is the update group whose
-// shared table and target the peer emits through (Config.UpdateGroups),
-// and both are left empty.
+// A peer is bound at register to the update group whose Adj-RIB-Out it
+// is emitted from — possibly a group of one — and the binding never
+// changes, so shard workers read it without locking.
 type peerState struct {
 	info rib.PeerInfo
 	cfg  NeighborConfig
 	sess *session.Session
 	out  *outQueue
 
-	emitTarget
-	adjOut []*rib.AdjOut
-	group  *updateGroup
+	group *updateGroup
 
 	// prefixCount tracks the routes this peer currently contributes
 	// across all shards, for max-prefix enforcement.
@@ -137,9 +134,9 @@ type peerState struct {
 //
 // The decision process is sharded: prefixes hash onto N workers, each
 // owning a Loc-RIB partition (rib.Sharded) plus the matching partition of
-// every peer's Adj-RIB-Out, so a burst of UPDATEs spreads across cores —
-// the pipeline parallelism whose absence the paper measures in its
-// single-process software routers. Peer lifecycle events (up, down,
+// every update group's Adj-RIB-Out, so a burst of UPDATEs spreads across
+// cores — the pipeline parallelism whose absence the paper measures in
+// its single-process software routers. Peer lifecycle events (up, down,
 // refresh) fan out to every shard; per-session FIFO dispatch keeps each
 // shard's view of a peer ordered (up before its updates before its down).
 //
@@ -155,8 +152,13 @@ type peerState struct {
 // the order their handshakes happened to finish (see register).
 //
 // Emission — Loc-RIB change to UPDATEs on a session — is one pipeline
-// run by the same workers (emit.go); the only goroutine it adds is the
-// MRAI ticker, one per router.
+// over one kind of table, run by the same workers (emit.go): every peer
+// is a member of an update group, alone in it or not. The only goroutine
+// emission adds is the MRAI ticker, one per router.
+//
+// What the router holds is what is live: a session is forgotten when its
+// event loop ends, a group when the last peer registered in it is torn
+// down.
 type Router struct {
 	cfg       Config
 	nshards   int
@@ -176,8 +178,8 @@ type Router struct {
 	mu       sync.Mutex
 	peers    map[netaddr.Addr]*peerState // keyed by peer BGP ID
 	peerGen  uint64                      // last value nextGen handed out
-	sessions []*session.Session          // all sessions ever attached (for Stop)
-	groups   map[string]*updateGroup     // update groups by canonical export key
+	sessions map[*session.Session]bool   // sessions whose event loop runs (for Stop)
+	groups   map[string]*updateGroup     // update groups with a registered peer, by group key
 
 	// batchPool recycles dispatchBatch buffers between session handlers
 	// and shard workers, so the batched hot path allocates nothing in
@@ -192,8 +194,8 @@ type Router struct {
 	// fan-out payloads from (see marshalcache.go).
 	slabPool sync.Pool
 	// mraiSuppressed counts prefixes an MRAI flush found back where the
-	// window had found them, on either table; the rest are update-group
-	// counters (see GroupStats).
+	// window had found them; the rest are fan-out counters (see
+	// GroupStats).
 	mraiSuppressed      atomic.Uint64
 	groupRuns           atomic.Uint64
 	groupSends          atomic.Uint64
@@ -219,17 +221,14 @@ type shard struct {
 	// cleared by its teardown. Worker-owned.
 	owner map[netaddr.Addr]*peerState
 
-	// Scratch owned by the shard worker: the FIB batch; per Adj-RIB-Out
-	// table kind, the batch's emit buffer and the snapshot of tables to
-	// apply changes to (emit.go); and what emission runs are assembled
-	// in — an action stream (dacts for a dirty member while acts holds
-	// the clean one), a run's prefixes, the originators in a fan-out,
-	// the sessions sharing a stream (empty between uses), and a list of
-	// group-table transitions.
+	// Scratch owned by the shard worker: the FIB batch; the batch's emit
+	// buffer and the snapshot of groups to apply changes to (emit.go);
+	// and what emission runs are assembled in — an action stream (dacts
+	// for a dirty member while acts holds the clean one), a run's
+	// prefixes, the originators in a fan-out, the sessions sharing a
+	// stream (empty between uses), and a list of table transitions.
 	fibOps       []fib.Op
-	emit         emitBuf[*peerState, emitItem]
-	gemit        emitBuf[*updateGroup, groupEmitItem]
-	peerScratch  []*peerState
+	emit         emitBuf
 	groupScratch []*updateGroup
 	acts, dacts  []emitItem
 	pfx          []netaddr.Prefix
@@ -259,20 +258,15 @@ const (
 	workPeerUp
 	workPeerDown
 	workRefresh
-	workRIBLen
-	workDump
-	workAdjOut
-	workFlush // close the MRAI window of every table the shard serves
+	workQuery // answer a barrier query (ask)
+	workFlush // close the MRAI window of every group the shard serves
 )
 
 type workItem struct {
-	kind   workKind
-	peer   *peerState     // with workUpdateBatch/PeerUp/PeerDown/Refresh: the registration the item belongs to
-	peerID netaddr.Addr   // with workAdjOut
-	batch  *dispatchBatch // with workUpdateBatch; returned to the pool by the worker
-	reply  chan int
-	dump   chan []LocRoute
-	adj    chan []AdjRoute
+	kind  workKind
+	peer  *peerState        // with workUpdateBatch/PeerUp/PeerDown/Refresh: the registration the item belongs to
+	batch *dispatchBatch    // with workUpdateBatch; returned to the pool by the worker
+	query func(int, *shard) // with workQuery: run on the worker, given its shard; sends its own reply
 }
 
 // dispatchBatch is a pooled multi-update work item: one session handler
@@ -366,6 +360,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		shards:    make([]*shard, cfg.Shards),
 		done:      make(chan struct{}),
 		peers:     make(map[netaddr.Addr]*peerState),
+		sessions:  make(map[*session.Session]bool),
 		groups:    make(map[string]*updateGroup),
 	}
 	r.batchPool.New = func() any { return new(dispatchBatch) }
@@ -435,7 +430,10 @@ func (r *Router) Stop() {
 		r.listener.Close()
 	}
 	r.mu.Lock()
-	sessions := append([]*session.Session(nil), r.sessions...)
+	sessions := make([]*session.Session, 0, len(r.sessions))
+	for s := range r.sessions {
+		sessions = append(sessions, s)
+	}
 	for _, p := range r.peers {
 		p.out.close()
 	}
@@ -516,23 +514,39 @@ func (r *Router) InternStats() wire.InternStats { return r.interner.Stats() }
 // carried; ops/batches is the mean commit batch size.
 func (r *Router) FIBBatchStats() (batches, ops uint64) { return r.fib.BatchStats() }
 
-// RIBLen returns the Loc-RIB size, synchronized through every shard
-// worker so queued work ahead of the query is accounted for.
-func (r *Router) RIBLen() int {
-	replies := make(chan int, r.nshards)
+// ask is the one barrier query: fn runs on every shard worker, behind
+// the work queued ahead of it and with that worker's state to itself,
+// and the answers come back in no particular order. ok is false once the
+// router is stopped.
+func ask[T any](r *Router, fn func(si int, s *shard) T) (answers []T, ok bool) {
+	replies := make(chan T, r.nshards) // one send per shard, never blocks a worker
 	for i := range r.shards {
-		if !r.send(i, workItem{kind: workRIBLen, reply: replies}) {
-			return -1
+		if !r.send(i, workItem{kind: workQuery, query: func(si int, s *shard) { replies <- fn(si, s) }}) {
+			return nil, false
 		}
 	}
-	total := 0
 	for range r.shards {
 		select {
-		case n := <-replies:
-			total += n
+		case a := <-replies:
+			answers = append(answers, a)
 		case <-r.done:
-			return -1
+			return nil, false
 		}
+	}
+	return answers, true
+}
+
+// RIBLen returns the Loc-RIB size, synchronized through every shard
+// worker so queued work ahead of the query is accounted for. Returns -1
+// after Stop.
+func (r *Router) RIBLen() int {
+	lens, ok := ask(r, func(si int, _ *shard) int { return r.rib.Shard(si).Len() })
+	if !ok {
+		return -1
+	}
+	total := 0
+	for _, n := range lens {
+		total += n
 	}
 	return total
 }
@@ -541,22 +555,15 @@ func (r *Router) RIBLen() int {
 // Like RIBLen it is a barrier: each shard answers after draining the work
 // queued ahead of the request. Returns nil after Stop.
 func (r *Router) DumpLocRIB() []LocRoute {
-	replies := make(chan []LocRoute, r.nshards)
-	for i := range r.shards {
-		if !r.send(i, workItem{kind: workDump, dump: replies}) {
-			return nil
-		}
-	}
-	var all []LocRoute
-	for range r.shards {
-		select {
-		case rs := <-replies:
-			all = append(all, rs...)
-		case <-r.done:
-			return nil
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Prefix.Compare(all[j].Prefix) < 0 })
+	parts, _ := ask(r, func(si int, _ *shard) (routes []LocRoute) {
+		r.rib.Shard(si).WalkLoc(func(p netaddr.Prefix, c rib.Candidate) bool {
+			routes = append(routes, LocRoute{Prefix: p, Peer: c.Peer.Addr, Attrs: c.Attrs})
+			return true
+		})
+		return routes
+	})
+	all := slices.Concat(parts...)
+	slices.SortFunc(all, func(a, b LocRoute) int { return a.Prefix.Compare(b.Prefix) })
 	return all
 }
 
@@ -566,23 +573,27 @@ func (r *Router) DumpLocRIB() []LocRoute {
 // so no locking races with the decision process. Returns nil when the
 // peer is unknown or the router is stopped.
 func (r *Router) DumpAdjOut(peerID netaddr.Addr) []AdjRoute {
-	replies := make(chan []AdjRoute, r.nshards)
-	for i := range r.shards {
-		if !r.send(i, workItem{kind: workAdjOut, peerID: peerID, adj: replies}) {
-			return nil
-		}
-	}
-	var all []AdjRoute
-	for range r.shards {
-		select {
-		case rs := <-replies:
-			all = append(all, rs...)
-		case <-r.done:
-			return nil
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Prefix.Compare(all[j].Prefix) < 0 })
+	parts, _ := ask(r, func(si int, s *shard) []AdjRoute { return r.adjRoutes(si, s, peerID) })
+	all := slices.Concat(parts...)
+	slices.SortFunc(all, func(a, b AdjRoute) int { return a.Prefix.Compare(b.Prefix) })
 	return all
+}
+
+// adjRoutes is shard si's part of a peer's logical Adj-RIB-Out: its
+// group's table minus what the peer itself originated. A dump is a
+// barrier, so any catch-up still filling the table (or replaying it to a
+// member) completes first.
+func (r *Router) adjRoutes(si int, s *shard, peerID netaddr.Addr) (routes []AdjRoute) {
+	ps := s.owner[peerID]
+	if ps == nil {
+		return nil
+	}
+	r.drainGroupCatchups(si, s, ps.group)
+	ps.group.shards[si].adjOut.WalkMember(peerID, r.rib.Shard(si).Origin, func(p netaddr.Prefix, attrs *wire.PathAttrs) bool {
+		routes = append(routes, AdjRoute{Prefix: p, Attrs: attrs})
+		return true
+	})
+	return routes
 }
 
 // PeerIDs returns the BGP IDs of the currently established peers in
@@ -729,14 +740,16 @@ func (r *Router) startSession(n NeighborConfig, label string) *session.Session {
 		BatchMaxDelay:   DefaultBatchMaxDelay,
 	})
 	r.mu.Lock()
-	r.sessions = append(r.sessions, s)
+	r.sessions[s] = true
 	r.mu.Unlock()
 	s.Start()
 	return s
 }
 
 // routerHandler adapts session callbacks onto the shard work queues. It
-// implements session.BatchHandler, so the session never calls Update.
+// implements session.BatchHandler, so the session never calls Update,
+// and session.FinishHandler, so the router forgets the session when its
+// event loop ends.
 type routerHandler struct {
 	session.NopHandler
 	r *Router
@@ -774,8 +787,9 @@ func (h *routerHandler) Established(s *session.Session) {
 	}
 	ps := r.register(info, ncfg, s.NegotiatedFamilies(), s.FourOctetAS(), h.gen)
 	if ps == nil {
-		// The peer has since connected again: this is the connection it
-		// abandoned, finishing its handshake late.
+		// The peer has since connected again — this is the connection it
+		// abandoned, finishing its handshake late — or the router is
+		// stopping.
 		go s.Stop()
 		return
 	}
@@ -795,40 +809,38 @@ func (r *Router) nextGen() uint64 {
 	return r.peerGen
 }
 
-// register builds the peerState for a newly established peer and makes
-// it the router-level registration for the peer's address, superseding
-// a bounced predecessor's. Shards learn of it from its workPeerUp.
+// register builds the peerState for a newly established peer, binds it
+// to its update group and makes it the router-level registration for the
+// peer's address, superseding a bounced predecessor's. Shards learn of it
+// from its workPeerUp.
 //
-// It returns nil when the address is already registered from a newer
-// connection. Establishment order does not say which transport a
-// bounced peer still holds: the connection it abandoned can finish its
-// handshake here after its replacement did, and would then replace the
-// live registration and tear it down again on its own EOF. Connection
-// order does say: a peer dials again only after giving the old
-// connection up, so the later connection is the one it holds.
+// It returns nil when the router is stopping, or when the address is
+// already registered from a newer connection. Establishment order does
+// not say which transport a bounced peer still holds: the connection it
+// abandoned can finish its handshake here after its replacement did, and
+// would then replace the live registration and tear it down again on its
+// own EOF. Connection order does say: a peer dials again only after
+// giving the old connection up, so the later connection is the one it
+// holds.
 func (r *Router) register(info rib.PeerInfo, ncfg NeighborConfig, afis [2]bool, as4 bool, gen uint64) *peerState {
 	ps := &peerState{info: info, cfg: ncfg, gen: gen, out: newOutQueue()}
-	// The one thing UpdateGroups selects: the table the peer is bound to.
-	if r.cfg.UpdateGroups {
-		// The wire mode and negotiated family set are part of the group
-		// identity: fan-out shares marshaled bytes, which depend on both.
-		ps.group = r.groupFor(info.EBGP, ncfg.Export, as4, afis)
-	} else {
-		ps.emitTarget = newEmitTarget(info.EBGP, afis, ncfg.Export, r.nshards)
-		ps.adjOut = make([]*rib.AdjOut, r.nshards)
-		for i := range ps.adjOut {
-			ps.adjOut[i] = rib.NewAdjOut()
-		}
-	}
 	ps.downLeft.Store(int32(r.nshards))
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	select {
+	case <-r.done:
+		// Stop has closed the out-queues of the peers it found; one
+		// registered now would keep its sender waiting forever.
+		return nil
+	default:
+	}
 	if old, exists := r.peers[info.Addr]; exists {
 		if old.gen > gen {
 			return nil
 		}
 		old.out.close()
 	}
+	ps.group = r.groupFor(info, ncfg.Export, as4, afis)
 	r.peers[info.Addr] = ps
 	return ps
 }
@@ -852,12 +864,21 @@ func (h *routerHandler) Refresh(*session.Session, wire.RouteRefresh) {
 }
 
 // Down withdraws the routes of the registration this session made and
-// lets go of it: the session outlives it in r.sessions.
+// lets go of it.
 func (h *routerHandler) Down(*session.Session, error) {
 	if h.ps != nil {
 		h.r.fanOut(workPeerDown, h.ps)
 		h.ps = nil
 	}
+}
+
+// Finished forgets a session whose event loop has ended: an inbound
+// session ends with its connection, so a router that kept them all
+// would grow by one per connection ever accepted.
+func (h *routerHandler) Finished(s *session.Session) {
+	h.r.mu.Lock()
+	delete(h.r.sessions, s)
+	h.r.mu.Unlock()
 }
 
 // sender drains a peer's unbounded out-queue into its session, isolating
@@ -893,7 +914,7 @@ func (r *Router) sender(ps *peerState) {
 }
 
 // shardWorker is decision worker i: it owns Loc-RIB shard i and partition
-// i of every peer's Adj-RIB-Out (the analogue of one xorp_bgp + xorp_rib
+// i of every group's Adj-RIB-Out (the analogue of one xorp_bgp + xorp_rib
 // pipeline, replicated per core). Chunked group catch-ups run at idle
 // priority: whenever the queue is empty the worker advances the oldest
 // catch-up by one bounded chunk, and under sustained load one chunk is
@@ -949,41 +970,20 @@ func (r *Router) handleWork(i int, s *shard, w workItem) {
 			r.processPeerDown(i, w.peer)
 		}
 	case workRefresh:
+		// RFC 2918: the group's table is authoritative; the requester
+		// gets a chunked replay of its view of it, and other members
+		// are untouched.
 		if r.owns(s, w.peer) {
-			r.processRefresh(i, w.peer)
+			r.scheduleCatchup(i, w.peer.group, w.peer)
 		}
 	case workFlush:
+		// A group's window closes with the first member that gets here;
+		// for the others it is already empty.
 		for _, ps := range s.owner {
-			r.flushMRAI(i, s, ps)
+			r.flushMRAI(i, s, ps.group)
 		}
-	case workRIBLen:
-		w.reply <- r.rib.Shard(i).Len()
-	case workDump:
-		var routes []LocRoute
-		r.rib.Shard(i).WalkLoc(func(p netaddr.Prefix, c rib.Candidate) bool {
-			routes = append(routes, LocRoute{Prefix: p, Peer: c.Peer.Addr, Attrs: c.Attrs})
-			return true
-		})
-		w.dump <- routes
-	case workAdjOut:
-		var routes []AdjRoute
-		if ps := s.owner[w.peerID]; ps != nil {
-			collect := func(p netaddr.Prefix, attrs *wire.PathAttrs) bool {
-				routes = append(routes, AdjRoute{Prefix: p, Attrs: attrs})
-				return true
-			}
-			if ps.group != nil {
-				// Grouped peer: its logical Adj-RIB-Out is the group
-				// table minus its own originations. A dump is a barrier,
-				// so any catch-up still filling the table (or replaying
-				// it to a member) completes first.
-				r.drainGroupCatchups(i, s, ps.group)
-				ps.group.shards[i].adjOut.WalkMember(ps.info.Addr, collect)
-			} else {
-				ps.adjOut[i].Walk(collect)
-			}
-		}
-		w.adj <- routes
+	case workQuery:
+		w.query(i, s)
 	}
 }
 
@@ -1014,45 +1014,24 @@ func (r *Router) putBatch(b *dispatchBatch) {
 // processPeerUp makes ps the owner of its peer address on shard si —
 // first performing the teardown of a predecessor still registered there,
 // whose own Down is then stale — registers the peer in the shard's RIB
-// and exports the shard's Loc-RIB slice to it (Phase 2 of the benchmark
-// methodology). An Up overtaken by a newer registration's Up (the two
-// handlers' fan-outs are not ordered against each other) is itself the
-// stale item.
+// and joins it to its group there, which schedules the export of the
+// shard's Loc-RIB slice to it (Phase 2 of the benchmark methodology). An
+// Up overtaken by a newer registration's Up (the two handlers' fan-outs
+// are not ordered against each other) is itself the stale item, and
+// since only an Up takes ownership, all this shard will see of ps.
 func (r *Router) processPeerUp(si int, ps *peerState) {
 	s := r.shards[si]
 	if prev := s.owner[ps.info.Addr]; prev != nil {
 		if prev.gen > ps.gen {
 			r.stalePeerWork.Add(1)
+			r.shardDone(ps)
 			return
 		}
 		r.processPeerDown(si, prev)
 	}
 	s.owner[ps.info.Addr] = ps
 	r.rib.Shard(si).AddPeer(ps.info)
-	if ps.group != nil {
-		r.processPeerUpGrouped(si, ps)
-		return
-	}
-	r.exportLocRIB(si, ps)
-}
-
-// processRefresh rebuilds and re-sends shard si's partition of the peer's
-// Adj-RIB-Out from scratch: the RFC 2918 response to a ROUTE-REFRESH
-// request, fanned out across shards.
-func (r *Router) processRefresh(si int, ps *peerState) {
-	if ps.group != nil {
-		// Grouped peer: the shared table is authoritative; schedule a
-		// chunked replay of the member's view of it. Other members are
-		// untouched.
-		r.scheduleMemberReplay(si, ps)
-		return
-	}
-	// Reset the advertised view (and the shard's open MRAI window on it)
-	// so every current route is re-sent, then reuse the initial-export
-	// path.
-	ps.tshards[si].pending = nil
-	ps.adjOut[si] = rib.NewAdjOut()
-	r.exportLocRIB(si, ps)
+	r.joinGroup(si, ps)
 }
 
 // processPeerDown releases ps's ownership of its peer address on shard
@@ -1061,22 +1040,9 @@ func (r *Router) processRefresh(si int, ps *peerState) {
 // that ps is the shard's owner, so this runs exactly once per shard per
 // registration: from the peer's own Down, or from its successor's Up.
 func (r *Router) processPeerDown(si int, ps *peerState) {
-	delete(r.shards[si].owner, ps.info.Addr)
-	if g := ps.group; g != nil {
-		// Leave the group first so the teardown withdrawals fan out only
-		// to the surviving members.
-		sh := &g.shards[si]
-		delete(sh.members, ps.info.Addr)
-		// Drop catch-ups that can no longer deliver anything: the
-		// member's own replay, and — once the shard has no members — any
-		// rebuild of the group's table (a future first member resets the
-		// table and schedules a fresh one).
-		//bgplint:allow(shardowner) reason=dropCatchups invokes the predicate synchronously on this worker and never retains it; sh stays on shard worker si
-		r.shards[si].catchups = dropCatchups(r.shards[si].catchups, func(c *groupCatchup) bool {
-			return c.member == ps || (c.g == g && len(sh.members) == 0)
-		})
-	}
 	s := r.shards[si]
+	delete(s.owner, ps.info.Addr)
+	r.leaveGroup(si, ps)
 	r.snapshotEmitTargets(s)
 	ops := s.fibOps[:0]
 	changes := r.rib.Shard(si).RemovePeer(ps.info.Addr)
@@ -1089,18 +1055,25 @@ func (r *Router) processPeerDown(si int, ps *peerState) {
 	if n := uint64(len(changes)); n > 0 {
 		s.transactions.Add(n)
 	}
+	r.shardDone(ps)
+}
 
-	if ps.downLeft.Add(-1) == 0 {
-		r.mu.Lock()
-		// Guard against a re-established session having replaced the entry.
-		if r.peers[ps.info.Addr] == ps {
-			delete(r.peers, ps.info.Addr)
-		}
-		r.mu.Unlock()
-		ps.out.close()
-		if r.damper != nil {
-			r.damper.Forget(ps.info.Addr)
-		}
+// shardDone notes that one more shard has seen the last of ps; the last
+// one performs the final peer cleanup.
+func (r *Router) shardDone(ps *peerState) {
+	if ps.downLeft.Add(-1) != 0 {
+		return
+	}
+	r.mu.Lock()
+	// Guard against a re-established session having replaced the entry.
+	if r.peers[ps.info.Addr] == ps {
+		delete(r.peers, ps.info.Addr)
+	}
+	r.releaseGroup(ps.group)
+	r.mu.Unlock()
+	ps.out.close()
+	if r.damper != nil {
+		r.damper.Forget(ps.info.Addr)
 	}
 }
 
@@ -1164,7 +1137,7 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 	if ps.cfg.Import == nil {
 		msgAttrs = r.interner.Intern(u.Attrs)
 	}
-	for _, p := range u.NLRI {
+	for ni, p := range u.NLRI {
 		attrs := msgAttrs
 		if attrs == nil {
 			a, ok := ps.cfg.Import.Apply(p, u.Attrs)
@@ -1196,7 +1169,9 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 				if ps.overLimit.CompareAndSwap(false, true) {
 					go ps.sess.Stop()
 				}
-				*tx++
+				// The rest of the UPDATE is ignored like whatever else
+				// is still in flight, and counted like it.
+				*tx += uint64(len(u.NLRI) - ni)
 				return
 			}
 		}
@@ -1243,8 +1218,8 @@ func (r *Router) commitFIB(ops *[]fib.Op) {
 }
 
 // applyChange pushes one Loc-RIB transition toward the FIB batch and
-// through the step of every Adj-RIB-Out table in the shard's snapshot
-// scratch: each peer that has its own, and each update group's.
+// through the table step of every update group in the shard's snapshot
+// scratch.
 func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 	// Forwarding table: batch the op; the caller commits per batch.
 	if ch.New != nil {
@@ -1256,11 +1231,8 @@ func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 		*ops = append(*ops, fib.Op{Prefix: ch.Prefix, Delete: true})
 	}
 
-	for _, ps := range s.peerScratch {
-		r.applyToPeerTable(si, s, ps, ch)
-	}
 	for _, g := range s.groupScratch {
-		r.applyToGroupTable(si, s, g, ch)
+		r.applyToTable(si, s, g, ch)
 	}
 }
 

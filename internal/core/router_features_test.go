@@ -72,9 +72,10 @@ func TestRouterDampingStableRouteUnaffected(t *testing.T) {
 	}
 }
 
-// onBothTables runs an MRAI scenario once per Adj-RIB-Out table — each
-// peer its own, then update groups — and requires the two runs to leave
-// the same Adj-RIB-Out toward each receiving peer.
+// onBothTables runs an MRAI scenario once per group keying — a group
+// per peer (once a table of its own), then groups by export treatment —
+// and requires the two runs to leave the same Adj-RIB-Out toward each
+// receiving peer.
 func onBothTables(t *testing.T, mrai time.Duration, run func(t *testing.T, r *Router) (adjOut string)) {
 	var digests [2]string
 	for i, grouped := range []bool{false, true} {
@@ -91,7 +92,7 @@ func onBothTables(t *testing.T, mrai time.Duration, run func(t *testing.T, r *Ro
 		})
 	}
 	if !t.Failed() && digests[0] != digests[1] {
-		t.Errorf("Adj-RIB-Out differs between the tables:\nper-peer:\n%sgrouped:\n%s", digests[0], digests[1])
+		t.Errorf("Adj-RIB-Out differs between the keyings:\nper-peer:\n%sgrouped:\n%s", digests[0], digests[1])
 	}
 }
 
@@ -186,12 +187,23 @@ func TestRouterMaxPrefixesTearsDownSession(t *testing.T) {
 	sp := dialSpeaker(t, r, 65001, "1.1.1.1")
 	defer sp.stop()
 
-	routes := GenerateTable(TableGenConfig{N: 150, Seed: 14, FirstAS: 65001})
-	sp.announce(t, routes, 50)
+	// One UPDATE carries all of it: what is still in the socket when the
+	// router stops the session dies with it, and would make the count
+	// below depend on how far the reader had got.
+	routes := UniformPath(GenerateTable(TableGenConfig{N: 150, Seed: 14, FirstAS: 65001}), wire.NewASPath(65001, 7))
+	sp.announce(t, routes, len(routes))
 
 	// The session must go down and every contributed route must vanish.
 	waitFor(t, 10*time.Second, func() bool { return !sp.sess.Established() })
-	waitFor(t, 10*time.Second, func() bool { return r.FIB().Len() == 0 })
+	waitFor(t, 10*time.Second, func() bool { return r.FIB().Len() == 0 && r.RIBLen() == 0 })
+
+	// Every prefix sent is one transaction, whether it arrived under the
+	// limit, crossed it, or followed the crossing in the same UPDATE. The
+	// teardown then counts one withdrawal per route it removed, which is
+	// half the FIB's changes: each was installed once and deleted once.
+	if got, want := r.Transactions(), uint64(len(routes))+r.FIBChanges()/2; got != want {
+		t.Errorf("Transactions() = %d, want the %d prefixes sent + %d withdrawn by the teardown", got, len(routes), r.FIBChanges()/2)
+	}
 }
 
 func TestRouterMaxPrefixesAllowsWithinLimit(t *testing.T) {

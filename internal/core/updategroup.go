@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bgpbench/internal/netaddr"
@@ -10,25 +11,31 @@ import (
 	"bgpbench/internal/wire"
 )
 
-// This file implements update groups, the shared-table side of the
-// emission pipeline (emit.go): peers whose export treatment is provably
-// identical (same eBGP-vs-iBGP handling, behavior-equal export route
-// map — see rib.GroupKeyFor) share one emitTarget and one Adj-RIB-Out.
-// Each route change is exported once per group instead of once per
-// peer, each emission run is marshaled once through the shard's
-// cross-group marshal cache (marshalcache.go), and the framed bytes are
-// fanned out to every member session as a reference-counted
-// session.SharedPayload. This turns emission from O(peers × prefixes)
-// into O(distinct runs) + a per-peer byte copy at the transport, which
-// is what makes hundreds of peering sessions over DFZ-sized tables
-// plausible. What lives here is what only a shared table needs: group
-// membership, the clean/dirty fan-out partition, and chunked catch-up.
+// This file implements update groups, the membership side of the
+// emission pipeline (emit.go). Every peer is bound to a group when it
+// registers. Peers whose export treatment is provably identical (same
+// eBGP-vs-iBGP handling, behavior-equal export route map — see
+// rib.GroupKeyFor) can share one: each route change is then exported
+// once per group instead of once per peer, each emission run is
+// marshaled once through the shard's cross-group marshal cache
+// (marshalcache.go), and the framed bytes are fanned out to every member
+// session as a reference-counted session.SharedPayload. This turns
+// emission from O(peers × prefixes) into O(distinct runs) + a per-peer
+// byte copy at the transport, which is what makes hundreds of peering
+// sessions over DFZ-sized tables plausible. A peer that shares with
+// nobody is a group of one, and three rules read off worker-owned state
+// make that cost what a table of its own would: a table never stores an
+// entry no member can see (groupShard.visible), a stream with one
+// recipient skips the marshal cache (fanOutItems), and a group nobody is
+// registered in leaves the registry (releaseGroup). What lives here is
+// group membership, the clean/dirty fan-out partition, and chunked
+// catch-up.
 //
 // Concurrency model: all per-shard group state (groupShard) is owned by
-// that shard's worker goroutine, exactly like per-peer Adj-RIB-Out
-// partitions, so the group tables need no locks. Whole-table work (group
-// rebuilds, member catch-up replays) runs in bounded chunks on the same
-// workers (groupCatchup) instead of stop-the-world walks.
+// that shard's worker goroutine, so the group tables need no locks.
+// Whole-table work (group rebuilds, member catch-up replays) runs in
+// bounded chunks on the same workers (groupCatchup) instead of
+// stop-the-world walks.
 
 const (
 	// catchupChunk bounds how many snapshot keys one catch-up chunk
@@ -40,38 +47,70 @@ const (
 	catchupForceEvery = 8
 )
 
-// updateGroup is one update group: the set of peers sharing a canonical
-// export-policy key, with per-shard state owned by the shard workers.
-// Its emitTarget holds the first-seen export map, behavior-equal to
-// every member's.
+// updateGroup is one update group: the peers registered under one group
+// key, the export identity they share — everything the export transform
+// depends on — and per-shard state owned by the shard workers. export is
+// the first-seen export map, behavior-equal to every member's.
 type updateGroup struct {
-	key string
-	emitTarget
-	// as4 is the members' negotiated wire mode; like the target's family
-	// set it is folded into the group key because the fan-out shares
-	// marshaled bytes, whose encoding depends on both.
+	key    string
+	ebgp   bool
+	afis   [2]bool          // negotiated families; others are never exported
+	export *policy.RouteMap // nil permits everything unchanged
+	// as4 is the members' negotiated wire mode; like the family set it is
+	// folded into the group key because the fan-out shares marshaled
+	// bytes, whose encoding depends on both.
 	as4 bool
+	// registered counts the registrations bound to the group (Router.mu):
+	// the last one to finish its teardown takes the group out of the
+	// registry.
+	registered int
 
 	shards []groupShard
 }
 
-// groupShard is shard i's partition of a group: the shared Adj-RIB-Out
-// and its current members. Touched only by shard worker i.
+// groupShard is shard i's partition of a group: its Adj-RIB-Out, its
+// current members, and what emitting from the table needs. Touched only
+// by shard worker i.
 //
 //bgplint:owned-by shard-worker
 type groupShard struct {
-	adjOut  *rib.GroupAdjOut
+	adjOut  *rib.AdjOut
 	members map[netaddr.Addr]*peerState
+	// sole is the member when there is exactly one, else nil.
+	sole *peerState
+	// exportCache memoizes the export transform keyed by canonical input
+	// attrs. Only consulted when the group has no export policy (policies
+	// may match on prefix, which the cache cannot key).
+	exportCache map[exportKey]*wire.PathAttrs
+	// pending is the open MRAI window: for every prefix whose table entry
+	// changed in it, the entry before the first change (zero: absent).
+	// The entry after the last change is the table's own.
+	pending map[netaddr.Prefix]advert
 }
 
-// groupEmitItem is one group-table transition, the group table's emit
-// item; a zero GroupRoute (nil Attrs) means "absent". It carries both
-// ends because each member's view of the transition depends on who
-// originated them.
-type groupEmitItem struct {
-	prefix netaddr.Prefix
-	old    rib.GroupRoute
-	new    rib.GroupRoute
+// visible reports whether any member may be sent a route learned from
+// origin: all are, except the one its only member originated. Such a
+// route is kept out of the table; when a second member joins, a rebuild
+// adds what became visible, and entries that stop being visible when the
+// membership drops back to one linger unemitted until they next change.
+func (sh *groupShard) visible(origin netaddr.Addr) bool {
+	return sh.sole == nil || sh.sole.info.Addr != origin
+}
+
+// setMember adds (in != nil) or removes the member with the given
+// address and keeps sole in step.
+func (sh *groupShard) setMember(addr netaddr.Addr, in *peerState) {
+	if in != nil {
+		sh.members[addr] = in
+	} else {
+		delete(sh.members, addr)
+	}
+	sh.sole = nil
+	if len(sh.members) == 1 {
+		for _, m := range sh.members {
+			sh.sole = m
+		}
+	}
 }
 
 // sameAttrs compares attribute pointers: pointer equality first (attrs
@@ -86,57 +125,43 @@ func sameAttrs(a, b *wire.PathAttrs) bool {
 	return a.Equal(*b)
 }
 
-// groupFor returns (creating if needed) the update group for the given
-// export treatment. The group adopts the first-seen export map; any
-// later member mapping to the same key has a behavior-equal map by
-// construction of the canonical key.
-func (r *Router) groupFor(ebgp bool, export *policy.RouteMap, as4 bool, afis [2]bool) *updateGroup {
-	key := rib.GroupKeyFor(ebgp, export) + fmt.Sprintf("|as4=%t|afis=%t,%t", as4, afis[0], afis[1])
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// groupFor returns (creating if needed) the update group a registering
+// peer is bound to, and counts the registration; the caller holds r.mu.
+// This is all Config.UpdateGroups selects: the key is the canonical
+// export treatment, shared by every peer with that treatment, or that
+// plus the peer's BGP ID, a group per peer. The group adopts the
+// first-seen export map; any later member mapping to the same key has a
+// behavior-equal map by construction of the canonical key.
+func (r *Router) groupFor(info rib.PeerInfo, export *policy.RouteMap, as4 bool, afis [2]bool) *updateGroup {
+	// The wire mode and negotiated family set are part of the group
+	// identity: fan-out shares marshaled bytes, which depend on both.
+	key := rib.GroupKeyFor(info.EBGP, export) + fmt.Sprintf("|as4=%t|afis=%t,%t", as4, afis[0], afis[1])
+	if !r.cfg.UpdateGroups {
+		key += "|id=" + info.ID.String()
+	}
 	g := r.groups[key]
 	if g == nil {
 		g = &updateGroup{
-			key:        key,
-			emitTarget: newEmitTarget(ebgp, afis, export, r.nshards),
-			as4:        as4,
-			shards:     make([]groupShard, r.nshards),
+			key:    key,
+			ebgp:   info.EBGP,
+			afis:   afis,
+			export: export,
+			as4:    as4,
+			shards: make([]groupShard, r.nshards),
 		}
 		r.groups[key] = g
 	}
+	g.registered++
 	return g
 }
 
-// applyToGroupTable is the group table's step for one Loc-RIB
-// transition: export the new best once for the whole group and record it
-// in shard si's partition of the shared Adj-RIB-Out, with its
-// originator; whatever cannot be exported withdraws the entry. A group
-// with no members on the shard is skipped entirely: its table goes stale
-// and is rebuilt from the Loc-RIB when a first member joins again.
-func (r *Router) applyToGroupTable(si int, s *shard, g *updateGroup, ch rib.Change) {
-	sh := &g.shards[si]
-	if len(sh.members) == 0 {
-		return
-	}
-	var to rib.GroupRoute
-	if ch.New != nil {
-		if attrs, ok := r.exportRoute(si, &g.emitTarget, ch.Prefix, *ch.New); ok {
-			to = rib.GroupRoute{Attrs: attrs, Origin: ch.New.Peer.Addr}
-		}
-	}
-	var old rib.GroupRoute
-	var changed bool
-	if to.Attrs != nil {
-		old, _, changed = sh.adjOut.Advertise(ch.Prefix, to.Attrs, to.Origin)
-	} else {
-		old, changed = sh.adjOut.Withdraw(ch.Prefix)
-	}
-	switch {
-	case !changed:
-	case r.cfg.MRAI > 0:
-		g.tshards[si].pend(ch.Prefix, old)
-	default:
-		s.gemit.add(g, groupEmitItem{prefix: ch.Prefix, old: old, new: to})
+// releaseGroup gives back one registration's hold on its group; the
+// caller holds r.mu. A group nobody is registered in has no member on
+// any shard, and leaves the registry so the per-batch snapshot does not
+// walk every group key the router has ever seen.
+func (r *Router) releaseGroup(g *updateGroup) {
+	if g.registered--; g.registered == 0 {
+		delete(r.groups, g.key)
 	}
 }
 
@@ -146,13 +171,13 @@ func (r *Router) applyToGroupTable(si int, s *shard, g *updateGroup, ch rib.Chan
 // sentinel "originates nothing" member, yielding the stream every
 // non-originating (clean) member shares.
 func memberEmitAction(it groupEmitItem, member netaddr.Addr) (emitItem, bool) {
-	oldIn := it.old.Attrs != nil && it.old.Origin != member
-	newIn := it.new.Attrs != nil && it.new.Origin != member
+	oldIn := it.old.attrs != nil && it.old.origin != member
+	newIn := it.new.attrs != nil && it.new.origin != member
 	switch {
 	case oldIn && !newIn:
 		return emitItem{prefix: it.prefix, attrs: nil}, true
-	case newIn && (!oldIn || !sameAttrs(it.old.Attrs, it.new.Attrs)):
-		return emitItem{prefix: it.prefix, attrs: it.new.Attrs}, true
+	case newIn && (!oldIn || !sameAttrs(it.old.attrs, it.new.attrs)):
+		return emitItem{prefix: it.prefix, attrs: it.new.attrs}, true
 	}
 	return emitItem{}, false
 }
@@ -168,47 +193,54 @@ func memberActions(dst []emitItem, items []groupEmitItem, member netaddr.Addr) [
 	return dst
 }
 
-// fanOutItems is the group table's sink: it partitions the group's
-// members into "dirty" (an originator of some transition in the run,
-// whose view differs from the shared stream) and "clean" (everyone
-// else), computes and marshals the clean stream once, and fans the
-// framed bytes out to every clean member as one reference-counted
-// payload. Dirty members — at most the handful of distinct originators
-// in the run — get an exact per-member replay through the
-// single-recipient sink.
+// fanOutItems turns a group's transitions into its members' streams. It
+// partitions the members into "dirty" (an originator of some transition
+// in the run, whose view differs from the shared stream) and "clean"
+// (everyone else). Dirty members — at most the handful of distinct
+// originators in the run — get an exact per-member stream through the
+// single-recipient sink, and so does a lone clean member: a shared
+// payload is for sharing. Two or more clean members share one stream,
+// computed and marshaled once and fanned out as one reference-counted
+// payload per run.
 func (r *Router) fanOutItems(si int, g *updateGroup, items []groupEmitItem) {
-	members := g.shards[si].members
-	if len(items) == 0 || len(members) == 0 {
+	sh := &g.shards[si]
+	if len(items) == 0 || len(sh.members) == 0 {
 		return
 	}
 	s := r.shards[si]
 
-	// Dirty set: members appearing as an originator in the run.
+	// Dirty set: members appearing as an originator in the run. A sole
+	// member's stream is its own view whether or not it does.
 	s.dirty = s.dirty[:0]
-	for _, it := range items {
-		if it.old.Attrs != nil {
-			s.dirty = addDirty(s.dirty, it.old.Origin, members)
-		}
-		if it.new.Attrs != nil {
-			s.dirty = addDirty(s.dirty, it.new.Origin, members)
+	if sh.sole != nil {
+		s.dirty = append(s.dirty, sh.sole.info.Addr)
+	} else {
+		for _, it := range items {
+			if it.old.attrs != nil {
+				s.dirty = addDirty(s.dirty, it.old.origin, sh.members)
+			}
+			if it.new.attrs != nil {
+				s.dirty = addDirty(s.dirty, it.new.origin, sh.members)
+			}
 		}
 	}
 
 	// Clean stream: the view of a member that originates nothing.
-	if len(members) > len(s.dirty) {
+	if len(sh.members) > len(s.dirty) {
 		if s.acts = memberActions(s.acts[:0], items, netaddr.Addr{}); len(s.acts) > 0 {
 			r.fanOutClean(si, g)
 		}
 	}
 	for _, addr := range s.dirty {
 		s.dacts = memberActions(s.dacts[:0], items, addr)
-		pushEmitRuns(members[addr], s.dacts, r.cfg.ExportBatch)
+		pushEmitRuns(sh.members[addr], s.dacts, r.cfg.ExportBatch)
 	}
 }
 
 // fanOutClean sends the shard's prepared clean action stream (s.acts) to
-// every member of g outside the dirty set (s.dirty) and accounts for the
-// sharing.
+// every member of g outside the dirty set (s.dirty): through the
+// single-recipient sink when that is one member, else as shared payloads,
+// accounting for the sharing.
 func (r *Router) fanOutClean(si int, g *updateGroup) {
 	s := r.shards[si]
 	for addr, ps := range g.shards[si].members {
@@ -217,6 +249,12 @@ func (r *Router) fanOutClean(si int, g *updateGroup) {
 		}
 	}
 	n := len(s.recipients)
+	if n == 1 {
+		pushEmitRuns(s.recipients[0], s.acts, r.cfg.ExportBatch)
+		s.recipients[0] = nil
+		s.recipients = s.recipients[:0]
+		return
+	}
 	if bytes := r.sendShared(s, g.as4); bytes > 0 {
 		r.groupRuns.Add(1)
 		r.groupSends.Add(uint64(n))
@@ -234,7 +272,7 @@ func (r *Router) fanOutClean(si int, g *updateGroup) {
 // marshal bytes scale with distinct runs, not groups × prefixes. A run
 // that cannot be marshaled (it exceeds the wire's message bound) goes
 // out as a plain UPDATE per recipient, which then fails in the session
-// exactly as a peer table's would.
+// exactly as the single-recipient sink's would.
 func (r *Router) sendShared(s *shard, as4 bool) (bytes int) {
 	for i, j := 0, 0; i < len(s.acts); i = j {
 		j = runEnd(s.acts, i, r.cfg.ExportBatch)
@@ -282,30 +320,53 @@ func isDirtyMember(dirty []netaddr.Addr, addr netaddr.Addr) bool {
 	return false
 }
 
-// processPeerUpGrouped registers a grouped peer on shard si. The first
-// member on a shard gets a fresh group table plus a chunked rebuild from
-// the Loc-RIB (the table may be missing or stale: changes are not
-// applied to member-less groups); the rebuild's own emissions double as
-// the member's catch-up replay, since every entry it advertises into the
+// joinGroup makes ps a member of its group on shard si. The first
+// member on a shard gets a fresh table plus a chunked rebuild from the
+// Loc-RIB (the table may be missing or stale: changes are not applied to
+// member-less groups); the rebuild's own emissions double as the
+// member's catch-up replay, since every entry it advertises into the
 // empty table fans out to the membership. Later members join the live
-// table and get a chunked replay of their view of it. Either way the
-// work is bounded per chunk and interleaves with the shard's queue
-// instead of stalling it for the whole table.
-func (r *Router) processPeerUpGrouped(si int, ps *peerState) {
+// table and get a chunked replay of their view of it. The second also
+// makes visible what only the first originated and the table therefore
+// never held: a rebuild without reset, queued behind the joiner's replay,
+// adds exactly those entries, so nobody is sent a route twice. Either
+// way the work is bounded per chunk and interleaves with the shard's
+// queue instead of stalling it for the whole table — the initial table
+// transfer of the benchmark's Phase 2 included.
+func (r *Router) joinGroup(si int, ps *peerState) {
 	g := ps.group
 	sh := &g.shards[si]
-	if sh.members == nil {
-		sh.members = make(map[netaddr.Addr]*peerState)
+	before := len(sh.members)
+	if before == 0 {
+		*sh = groupShard{
+			adjOut:      rib.NewAdjOut(),
+			members:     make(map[netaddr.Addr]*peerState),
+			exportCache: make(map[exportKey]*wire.PathAttrs),
+		}
 	}
-	if len(sh.members) == 0 {
-		sh.adjOut = rib.NewGroupAdjOut()
-		g.tshards[si] = targetShard{exportCache: make(map[exportKey]*wire.PathAttrs)}
-		sh.members[ps.info.Addr] = ps
-		r.scheduleGroupRebuild(si, g)
-		return
+	sh.setMember(ps.info.Addr, ps)
+	if before > 0 {
+		r.scheduleCatchup(si, g, ps)
 	}
-	sh.members[ps.info.Addr] = ps
-	r.scheduleMemberReplay(si, ps)
+	if before < 2 {
+		r.scheduleCatchup(si, g, nil)
+	}
+}
+
+// leaveGroup takes ps out of its group on shard si, so that its teardown
+// withdrawals fan out only to the surviving members, and drops the
+// catch-ups that can no longer deliver anything: the member's own
+// replay, and — once the shard has no members — any rebuild of the
+// group's table (a future first member resets the table and schedules a
+// fresh one).
+func (r *Router) leaveGroup(si int, ps *peerState) {
+	g := ps.group
+	sh := &g.shards[si]
+	sh.setMember(ps.info.Addr, nil)
+	empty := len(sh.members) == 0
+	r.shards[si].catchups = slices.DeleteFunc(r.shards[si].catchups, func(c *groupCatchup) bool {
+		return c.member == ps || (c.g == g && empty)
+	})
 }
 
 // groupCatchup is one in-progress chunked catch-up on a shard: a rebuild
@@ -326,46 +387,27 @@ type groupCatchup struct {
 	start    time.Time
 }
 
-// scheduleGroupRebuild snapshots shard si's Loc-RIB key set and queues a
-// chunked rebuild of g's freshly reset table. Any older catch-up for the
-// group is dropped: it refers to the previous table generation.
-func (r *Router) scheduleGroupRebuild(si int, g *updateGroup) {
+// scheduleCatchup queues a chunked catch-up on shard si: with no member,
+// a rebuild of g's table from a snapshot of the Loc-RIB's key set —
+// everything, into a freshly reset table, or what a second member made
+// visible, into a live one; with one, a replay of that member's view of
+// a snapshot of the table's key set (join catch-up and ROUTE-REFRESH).
+// An older catch-up of the same kind for the same target is superseded:
+// this one covers its keys.
+func (r *Router) scheduleCatchup(si int, g *updateGroup, member *peerState) {
 	s := r.shards[si]
-	s.catchups = dropCatchups(s.catchups, func(c *groupCatchup) bool { return c.g == g })
-	pfx := r.rib.Shard(si).LocPrefixesInto(nil)
+	s.catchups = slices.DeleteFunc(s.catchups, func(c *groupCatchup) bool { return c.g == g && c.member == member })
+	var pfx []netaddr.Prefix
+	if member == nil {
+		pfx = r.rib.Shard(si).LocPrefixesInto(nil)
+	} else {
+		pfx = g.shards[si].adjOut.PrefixesInto(nil)
+	}
 	if len(pfx) == 0 {
 		return
 	}
 	r.groupRebuilds.Add(1)
-	s.catchups = append(s.catchups, &groupCatchup{g: g, prefixes: pfx, start: time.Now()})
-}
-
-// scheduleMemberReplay snapshots the group table's key set and queues a
-// chunked replay of ps's view of it (join catch-up and ROUTE-REFRESH).
-// An older replay still queued for the same member is superseded.
-func (r *Router) scheduleMemberReplay(si int, ps *peerState) {
-	s := r.shards[si]
-	s.catchups = dropCatchups(s.catchups, func(c *groupCatchup) bool { return c.member == ps })
-	pfx := ps.group.shards[si].adjOut.PrefixesInto(nil)
-	if len(pfx) == 0 {
-		return
-	}
-	r.groupRebuilds.Add(1)
-	s.catchups = append(s.catchups, &groupCatchup{g: ps.group, member: ps, prefixes: pfx, start: time.Now()})
-}
-
-// dropCatchups removes the catch-ups matching drop, preserving order.
-func dropCatchups(cs []*groupCatchup, drop func(*groupCatchup) bool) []*groupCatchup {
-	out := cs[:0]
-	for _, c := range cs {
-		if !drop(c) {
-			out = append(out, c)
-		}
-	}
-	for i := len(out); i < len(cs); i++ {
-		cs[i] = nil
-	}
-	return out
+	s.catchups = append(s.catchups, &groupCatchup{g: g, member: member, prefixes: pfx, start: time.Now()})
 }
 
 // runCatchupChunk advances the shard's oldest catch-up by one bounded
@@ -377,9 +419,7 @@ func (r *Router) runCatchupChunk(si int, s *shard) {
 		return
 	}
 	if r.processCatchupChunk(si, s.catchups[0]) {
-		copy(s.catchups, s.catchups[1:])
-		s.catchups[len(s.catchups)-1] = nil
-		s.catchups = s.catchups[:len(s.catchups)-1]
+		s.catchups = slices.Delete(s.catchups, 0, 1)
 	}
 }
 
@@ -395,92 +435,74 @@ func (r *Router) drainGroupCatchups(si int, s *shard, g *updateGroup) {
 		}
 		for !r.processCatchupChunk(si, c) {
 		}
-		s.catchups = append(s.catchups[:i], s.catchups[i+1:]...)
+		s.catchups = slices.Delete(s.catchups, i, i+1)
 	}
 }
 
-// processCatchupChunk runs one bounded chunk of a catch-up, reporting
-// whether the catch-up is finished (completed or abandoned).
+// processCatchupChunk runs one bounded chunk of a catch-up, the next
+// catchupChunk keys of its snapshot, reporting whether that finished it.
+// Leaving a group drops the catch-ups that lost their audience
+// (leaveGroup), so a chunk always has one.
 func (r *Router) processCatchupChunk(si int, c *groupCatchup) bool {
-	sh := &c.g.shards[si]
+	end := min(c.cursor+catchupChunk, len(c.prefixes))
 	if c.member == nil {
-		return r.rebuildChunk(si, c, sh)
+		r.rebuildChunk(si, c.g, c.prefixes[c.cursor:end])
+	} else {
+		r.replayChunk(si, c.member, c.prefixes[c.cursor:end])
 	}
-	return r.replayChunk(si, c, sh)
+	c.cursor = end
+	r.groupRebuildChunks.Add(1)
+	if end < len(c.prefixes) {
+		return false
+	}
+	r.rebuildHist.observe(time.Since(c.start))
+	return true
 }
 
 // rebuildChunk advances a whole-group rebuild: re-read each snapshot key
-// from the Loc-RIB, export it into the (fresh) group table, and emit the
-// resulting transitions to the membership. A key whose best route
-// vanished since the snapshot is skipped — the table never advertised
-// it, so there is nothing to withdraw; a key a live change already
-// advertised re-reads identically and Advertise reports no change.
-func (r *Router) rebuildChunk(si int, c *groupCatchup, sh *groupShard) bool {
-	if len(sh.members) == 0 {
-		// Everyone left mid-rebuild: abandon. A future first member
-		// resets the table and schedules a fresh rebuild.
-		return true
-	}
-	end := c.cursor + catchupChunk
-	if end > len(c.prefixes) {
-		end = len(c.prefixes)
-	}
-	shardRIB := r.rib.Shard(si)
-	items := r.shards[si].gitems[:0]
-	for _, p := range c.prefixes[c.cursor:end] {
+// from the Loc-RIB, export what some member can see into the group table,
+// and emit the resulting transitions to the membership. A key whose best
+// route vanished since the snapshot is skipped — live changes keep the
+// table in step with the Loc-RIB, so there is nothing to withdraw; a key
+// the table already holds re-reads identically and Advertise reports no
+// change.
+func (r *Router) rebuildChunk(si int, g *updateGroup, keys []netaddr.Prefix) {
+	s, sh, shardRIB := r.shards[si], &g.shards[si], r.rib.Shard(si)
+	items := s.gitems[:0]
+	for _, p := range keys {
 		cand, ok := shardRIB.Lookup(p)
+		if !ok || !sh.visible(cand.Peer.Addr) {
+			continue
+		}
+		attrs, ok := r.exportRoute(si, g, p, cand)
 		if !ok {
 			continue
 		}
-		attrs, ok := r.exportRoute(si, &c.g.emitTarget, p, cand)
-		if !ok {
-			continue
-		}
-		if old, _, changed := sh.adjOut.Advertise(p, attrs, cand.Peer.Addr); changed {
-			items = append(items, groupEmitItem{prefix: p, old: old, new: rib.GroupRoute{Attrs: attrs, Origin: cand.Peer.Addr}})
+		// An entry always mirrors the current best, so one that changes
+		// here was absent.
+		if _, changed := sh.adjOut.Advertise(p, attrs); changed {
+			items = append(items, groupEmitItem{prefix: p, new: advert{attrs: attrs, origin: cand.Peer.Addr}})
 		}
 	}
-	r.fanOutItems(si, c.g, items)
-	r.shards[si].gitems = items[:0]
-	c.cursor = end
-	r.groupRebuildChunks.Add(1)
-	if c.cursor >= len(c.prefixes) {
-		r.rebuildHist.observe(time.Since(c.start))
-		return true
-	}
-	return false
+	r.fanOutItems(si, g, items)
+	s.gitems = items[:0]
 }
 
 // replayChunk advances a member catch-up replay: re-read each snapshot
-// key from the group table and stream the member's view of it through
-// the shared-payload sink, so members joining the same group replay the
-// same bytes without re-marshaling them.
-func (r *Router) replayChunk(si int, c *groupCatchup, sh *groupShard) bool {
-	addr := c.member.info.Addr
-	if sh.members[addr] != c.member {
-		// The member left (or its slot was re-established): abandon.
-		return true
-	}
-	end := c.cursor + catchupChunk
-	if end > len(c.prefixes) {
-		end = len(c.prefixes)
-	}
-	s := r.shards[si]
+// key from the group table — and its originator from the Loc-RIB — and
+// stream the member's view of it through the shared-payload sink, so
+// members joining the same group replay the same bytes without
+// re-marshaling them.
+func (r *Router) replayChunk(si int, member *peerState, keys []netaddr.Prefix) {
+	s, sh, shardRIB := r.shards[si], &member.group.shards[si], r.rib.Shard(si)
 	s.acts = s.acts[:0]
-	for _, p := range c.prefixes[c.cursor:end] {
-		if gr, ok := sh.adjOut.Lookup(p); ok && gr.Origin != addr {
-			s.acts = append(s.acts, emitItem{prefix: p, attrs: gr.Attrs})
+	for _, p := range keys {
+		if attrs, ok := sh.adjOut.Lookup(p); ok && shardRIB.Origin(p) != member.info.Addr {
+			s.acts = append(s.acts, emitItem{prefix: p, attrs: attrs})
 		}
 	}
-	s.recipients = append(s.recipients, c.member)
-	r.sendShared(s, c.g.as4)
-	c.cursor = end
-	r.groupRebuildChunks.Add(1)
-	if c.cursor >= len(c.prefixes) {
-		r.rebuildHist.observe(time.Since(c.start))
-		return true
-	}
-	return false
+	s.recipients = append(s.recipients, member)
+	r.sendShared(s, member.group.as4)
 }
 
 // UpdateNeighbor replaces the stored configuration for a neighbor AS at
@@ -502,13 +524,15 @@ func (r *Router) neighborConfig(as uint32) (NeighborConfig, bool) {
 	return n, ok
 }
 
-// UpdateGroupsEnabled reports whether the router runs grouped emission.
+// UpdateGroupsEnabled reports whether peers are grouped by export
+// treatment alone (Config.UpdateGroups) rather than one group per peer.
 func (r *Router) UpdateGroupsEnabled() bool { return r.cfg.UpdateGroups }
 
 // GroupStats is an operational snapshot of the update-group subsystem.
 type GroupStats struct {
 	Enabled bool
-	// Groups is the number of distinct export-policy groups seen.
+	// Groups is the number of update groups with a registered member now:
+	// distinct export treatments when Enabled, else one per peer.
 	Groups int
 	// Runs counts shared emission runs computed and marshaled once;
 	// Sends counts the member sessions those runs were fanned out to.
@@ -520,7 +544,7 @@ type GroupStats struct {
 	// (payload size × (recipients−1)).
 	BytesBuilt, BytesSaved uint64
 	// Suppressed counts MRAI net-no-op transitions dropped before
-	// emission, on group tables and per-peer tables alike.
+	// emission.
 	Suppressed uint64
 	// BytesMarshaled is the bytes actually encoded by the shared marshal
 	// cache (misses only); BytesBuilt / BytesMarshaled is the marshal

@@ -264,9 +264,9 @@ func BenchmarkGroupRebuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Forget the group table so the rebuild re-advertises and
 				// re-emits the whole Loc-RIB, as a first-member join does.
-				sh.adjOut = rib.NewGroupAdjOut()
-				recv.group.tshards[0].exportCache = make(map[exportKey]*wire.PathAttrs)
-				r.scheduleGroupRebuild(0, recv.group)
+				sh.adjOut = rib.NewAdjOut()
+				sh.exportCache = make(map[exportKey]*wire.PathAttrs)
+				r.scheduleCatchup(0, recv.group, nil)
 				drain()
 			}
 		})

@@ -216,6 +216,94 @@ func TestGroupJoinMidStream(t *testing.T) {
 	}
 }
 
+// TestGroupSecondMemberSeesSoleMembersRoutes pins the rule that keeps a
+// group of one as cheap as a table of its own — nothing its only member
+// originated is stored — together with the promotion that rule needs:
+// when a second member joins, what the first originated becomes visible
+// and must reach the joiner exactly once, and when the group is back to
+// one member nothing may leak to it.
+func TestGroupSecondMemberSeesSoleMembersRoutes(t *testing.T) {
+	const k = 64
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("N=%d", shards), func(t *testing.T) {
+			cfg := testRouterConfig(NeighborConfig{AS: 65001}, NeighborConfig{AS: 65002})
+			cfg.UpdateGroups = true
+			cfg.Shards = shards
+			r := mustStartRouter(t, cfg)
+			defer r.Stop()
+			mID := netaddr.MustParseAddr("1.1.1.1")
+			nID := netaddr.MustParseAddr("2.2.2.2")
+
+			m := dialSpeaker(t, r, 65001, mID.String())
+			defer m.stop()
+			table := groupTestTable(k)
+			m.announce(t, table, 8)
+			waitFor(t, 10*time.Second, func() bool { return r.RIBLen() == k })
+			if adv := r.DumpAdjOut(mID); len(adv) != 0 {
+				t.Fatalf("the sole member is advertised %d of its own routes", len(adv))
+			}
+			stored, _ := ask(r, func(si int, s *shard) int { return s.owner[mID].group.shards[si].adjOut.Len() })
+			for si, n := range stored {
+				if n != 0 {
+					t.Errorf("a table partition (answer %d) stores %d entries no member can see", si, n)
+				}
+			}
+
+			// joined waits until n has seen want prefixes, then proves it is
+			// sent no more: DumpAdjOut drains the group's catch-ups on
+			// every shard, so a marker route announced after it is the
+			// last thing in n's FIFO out-queue.
+			markers := 0
+			joined := func(n *testSpeaker, want int) {
+				t.Helper()
+				waitFor(t, 10*time.Second, func() bool { return n.prefixesIn.Load() >= uint64(want) })
+				r.DumpAdjOut(nID)
+				m.announce(t, []Route{{
+					Prefix: netaddr.PrefixFrom(netaddr.AddrFrom4(250, byte(markers), 0, 0), 24),
+					Path:   wire.NewASPath(65001, 250),
+				}}, 1)
+				markers++
+				waitFor(t, 10*time.Second, func() bool { return n.prefixesIn.Load() > uint64(want) })
+				if got := n.prefixesIn.Load(); got != uint64(want)+1 {
+					t.Fatalf("joiner was sent %d prefixes, want the first member's %d and the marker, each once", got, want)
+				}
+				if w := n.withdrawsIn.Load(); w != 0 {
+					t.Fatalf("joiner was sent %d withdrawals", w)
+				}
+			}
+
+			// N joins: everything M originated becomes visible.
+			n := dialSpeaker(t, r, 65002, nID.String())
+			joined(n, k)
+			if gs := r.GroupStats(); gs.Groups != 1 {
+				t.Fatalf("GroupStats.Groups = %d, want the two peers in 1 group", gs.Groups)
+			}
+
+			// N leaves: M is alone again. Its routes' entries may linger,
+			// but a change to one of them is still nobody's business.
+			n.stop()
+			waitFor(t, 10*time.Second, func() bool { return len(r.PeerIDs()) == 1 })
+			changed := make([]Route, 8)
+			for i := range changed {
+				changed[i] = Lengthen(table[i], 65001, 2, 7)
+			}
+			tx := r.Transactions()
+			m.announce(t, changed, 4)
+			waitFor(t, 10*time.Second, func() bool { return r.Transactions() >= tx+uint64(len(changed)) })
+
+			// N rejoins: the lingering entries by replay, the changed ones
+			// by the promotion rebuild, each once.
+			n = dialSpeaker(t, r, 65002, nID.String())
+			defer n.stop()
+			joined(n, k+1)
+
+			if got := m.prefixesIn.Load() + m.withdrawsIn.Load(); got != 0 {
+				t.Errorf("the originator was sent %d route events about its own routes", got)
+			}
+		})
+	}
+}
+
 // runResetMidEmission kills one receiver's session while the emission
 // stream is in flight, reconnects it, and requires full convergence:
 // the rebuilt session must receive the whole group view again.
@@ -319,10 +407,39 @@ func runPolicyMove(t *testing.T, grouped bool) (recvFP string) {
 	if c2.fingerprint() == a.fingerprint() {
 		t.Fatalf("grouped=%v: moved peer still carries its old group's stream", grouped)
 	}
-	if grouped {
-		if gs := r.GroupStats(); gs.Groups != 3 {
-			t.Errorf("GroupStats.Groups = %d, want 3 (feeder + two policy groups)", gs.Groups)
+	// Groups counts the groups somebody is registered in: one per peer,
+	// or (grouped) the feeder's and the two policies'.
+	wantGroups := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for r.GroupStats().Groups != n && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
 		}
+		if gs := r.GroupStats(); gs.Groups != n {
+			t.Errorf("grouped=%v: GroupStats.Groups = %d, want %d", grouped, gs.Groups, n)
+		}
+	}
+	if grouped {
+		wantGroups(3)
+	} else {
+		wantGroups(4)
+	}
+
+	// Re-key a, the last peer under policy 0. Once its old registration is
+	// torn down nobody is registered under the old key, and that group
+	// must be gone rather than walked on every batch from now on.
+	r.UpdateNeighbor(NeighborConfig{AS: 65100, Export: medPolicy(1)})
+	a.stop()
+	a2 := dialRecv(t, r, 65100, "10.9.0.1", 0)
+	defer a2.stop()
+	waitFor(t, 10*time.Second, func() bool { return a2.len() == n })
+	if a2.fingerprint() != b.fingerprint() {
+		t.Fatalf("grouped=%v: re-keyed peer's stream does not match its new group", grouped)
+	}
+	if grouped {
+		wantGroups(2)
+	} else {
+		wantGroups(4)
 	}
 	return c2.fingerprint()
 }
@@ -448,16 +565,20 @@ func drainOut(peers []*peerState) {
 	}
 }
 
-// BenchmarkEmitGrouped measures the decision+emission core with many
-// receivers: one feeder's churn stream processed synchronously on shard
-// 0, emitted to 64 receivers in 4 policy groups — grouped emission
-// (compute/marshal once per group, fan bytes out) against the per-peer
-// path doing the same work 16 times per group.
+// BenchmarkEmitGrouped measures the decision+emission core: one feeder's
+// churn stream processed synchronously on shard 0 and emitted to 64
+// receivers in 4 policy groups — keyed by policy (compute/marshal once
+// per group, fan bytes out through the shared-payload sink) against one
+// group per peer doing the same work 16 times per policy — and to a
+// single receiver, the group of one every run of which ends in the
+// single-recipient sink.
 func BenchmarkEmitGrouped(b *testing.B) {
-	const peers = 64
-	const groups = 4
 	feederID := netaddr.MustParseAddr("1.1.1.1")
-	for _, grouped := range []bool{false, true} {
+	for _, c := range []struct {
+		peers, groups int
+		grouped       bool
+	}{{64, 4, false}, {64, 4, true}, {1, 1, true}} {
+		peers, groups, grouped := c.peers, c.groups, c.grouped
 		b.Run(fmt.Sprintf("peers=%d/grouped=%v", peers, grouped), func(b *testing.B) {
 			neighbors := []NeighborConfig{{AS: 65001}}
 			for i := 0; i < peers; i++ {

@@ -268,6 +268,13 @@ func (f *FSM) inOpenSent(ev Event) []Action {
 		f.to(Idle)
 		return []Action{{Type: ActCloseConn}}
 	case EvTCPConnFails:
+		if f.cfg.Passive {
+			// As in OpenConfirm: an acceptor's session ends with its
+			// connection. Parked in Active it would wait forever for a
+			// transport nobody will hand it.
+			f.to(Idle)
+			return []Action{{Type: ActCloseConn}}
+		}
 		f.to(Active)
 		return []Action{{Type: ActStartConnectRetry}}
 	case EvHoldTimerExpires:

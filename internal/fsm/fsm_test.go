@@ -164,15 +164,19 @@ func TestTransportLossBeforeEstablishedRetries(t *testing.T) {
 		}
 	}
 
-	cfg := testConfig()
-	cfg.Passive = true
-	f := New(cfg)
-	f.Handle(Event{Type: EvManualStart})
-	f.Handle(Event{Type: EvTCPConnEstablished})
-	f.Handle(Event{Type: EvMsgOpen, Open: peerOpen(65002, 90)})
-	acts := f.Handle(Event{Type: EvTCPConnFails})
-	if f.State() != Idle || !hasAction(acts, ActCloseConn) {
-		t.Errorf("passive conn fail in OpenConfirm: state=%v acts=%v, want Idle", f.State(), acts)
+	for _, upTo := range []State{OpenSent, OpenConfirm} {
+		cfg := testConfig()
+		cfg.Passive = true
+		f := New(cfg)
+		f.Handle(Event{Type: EvManualStart})
+		f.Handle(Event{Type: EvTCPConnEstablished})
+		if upTo == OpenConfirm {
+			f.Handle(Event{Type: EvMsgOpen, Open: peerOpen(65002, 90)})
+		}
+		acts := f.Handle(Event{Type: EvTCPConnFails})
+		if f.State() != Idle || !hasAction(acts, ActCloseConn) {
+			t.Errorf("passive conn fail in %v: state=%v acts=%v, want Idle", upTo, f.State(), acts)
+		}
 	}
 }
 

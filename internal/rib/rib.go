@@ -197,6 +197,16 @@ func (r *RIB) Lookup(prefix netaddr.Prefix) (Candidate, bool) {
 	return *e.best, true
 }
 
+// Origin returns the peer the current best route for prefix was learned
+// from, the zero Addr when there is none. An Adj-RIB-Out entry is the
+// export of that route, so this is also the entry's originator.
+func (r *RIB) Origin(prefix netaddr.Prefix) netaddr.Addr {
+	if e := r.loc[prefix]; e != nil && e.best != nil {
+		return e.best.Peer.Addr
+	}
+	return netaddr.Addr{}
+}
+
 // LocPrefixesInto appends every prefix with a best route to buf (which
 // should come in empty) and returns it sorted. The chunked update-group
 // rebuild snapshots the key set here, then re-reads each entry through

@@ -5,6 +5,7 @@ import (
 
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/policy"
+	"bgpbench/internal/wire"
 )
 
 // fuzzRouteMap builds a route map from fuzz-chosen behavior parameters.
@@ -113,6 +114,76 @@ func FuzzGroupKey(f *testing.F) {
 		// constructed map's key.
 		if nk := GroupKeyFor(ebgp, nil); nk == ka {
 			t.Fatalf("nil policy shares a key with a constructed map: %s", ka)
+		}
+	})
+}
+
+// FuzzAdjOutMemberViews checks the one shared table against the model it
+// replaced: an independent table per peer, written with the audience
+// rule "never advertise a route back to the peer it came from". The
+// subject is one AdjOut plus an origin function (prefix -> originator);
+// after every operation each member's view of it must be that member's
+// reference table, entry for entry and in prefix order.
+//
+// Each input byte is one operation: bits 0-2 pick the prefix, bits 3-5
+// the originator (four members and one outsider), bits 6-7 withdraw or
+// one of three attribute blocks.
+func FuzzAdjOutMemberViews(f *testing.F) {
+	f.Add([]byte{0x40, 0x48, 0x88, 0x00, 0xc1, 0x59, 0x19})
+	f.Add([]byte{0x60, 0x60, 0xa0, 0x68, 0x20})
+	f.Add([]byte{})
+	const members = 4
+	addrOf := func(i byte) netaddr.Addr { return netaddr.AddrFrom4(10, 0, 0, i+1) }
+	blocks := []*wire.PathAttrs{baseAttrs(1), baseAttrs(1, 2), baseAttrs(1, 2, 3)}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		table := NewAdjOut()
+		originOf := make(map[netaddr.Prefix]netaddr.Addr)
+		origin := func(p netaddr.Prefix) netaddr.Addr { return originOf[p] }
+		var ref [members]map[netaddr.Prefix]*wire.PathAttrs
+		for m := range ref {
+			ref[m] = make(map[netaddr.Prefix]*wire.PathAttrs)
+		}
+		for step, op := range ops {
+			p := netaddr.PrefixFrom(netaddr.AddrFrom4(10, op&7, 0, 0), 16)
+			from := addrOf(op >> 3 & 7 % (members + 1))
+			var attrs *wire.PathAttrs
+			if kind := op >> 6; kind > 0 {
+				attrs = blocks[kind-1]
+			}
+
+			if attrs == nil {
+				table.Withdraw(p)
+				delete(originOf, p)
+			} else {
+				table.Advertise(p, attrs)
+				originOf[p] = from
+			}
+			for m := range ref {
+				if attrs == nil || from == addrOf(byte(m)) {
+					delete(ref[m], p)
+				} else {
+					ref[m][p] = attrs
+				}
+			}
+
+			for m := range ref {
+				n := 0
+				var prev netaddr.Prefix
+				table.WalkMember(addrOf(byte(m)), origin, func(q netaddr.Prefix, a *wire.PathAttrs) bool {
+					if n > 0 && prev.Compare(q) >= 0 {
+						t.Fatalf("step %d: member %d walked out of prefix order", step, m)
+					}
+					if want, ok := ref[m][q]; !ok || want != a {
+						t.Fatalf("step %d: member %d sees %v -> %p, its own table holds %p (present %v)", step, m, q, a, want, ok)
+					}
+					prev = q
+					n++
+					return true
+				})
+				if n != len(ref[m]) {
+					t.Fatalf("step %d: member %d sees %d routes, its own table holds %d", step, m, n, len(ref[m]))
+				}
+			}
 		}
 	})
 }

@@ -52,6 +52,15 @@ type BatchHandler interface {
 	UpdateBatch(s *Session, us []wire.Update)
 }
 
+// FinishHandler is optionally implemented by Handlers that keep track of
+// their sessions: Finished is called once, from the event loop as it
+// ends — after Stop, or when the session reached its terminal state on
+// its own — and is the last callback the session makes. An owner that
+// holds sessions in order to Stop them can let go of this one.
+type FinishHandler interface {
+	Finished(s *Session)
+}
+
 // NopHandler ignores all callbacks; embed it to implement a subset.
 type NopHandler struct{}
 
@@ -354,6 +363,9 @@ func (s *Session) negotiate(o wire.Open) {
 // the writer, and the timers.
 func (s *Session) loop() {
 	defer s.wg.Done()
+	if fh, ok := s.cfg.Handler.(FinishHandler); ok {
+		defer fh.Finished(s)
+	}
 	defer s.cleanup()
 	for {
 		select {

@@ -51,14 +51,15 @@ step_conformance() {
 		-run 'TestConformanceGate|TestConformanceManyPeerGate|TestConformanceReplayDeterminism|TestConformanceDualStackGate' ./internal/bench/
 }
 
-# Peer-lifecycle stress: the bounced-peer model test, the bounce leak
-# test (goroutines and registrations, MRAI on, both Adj-RIB-Out tables)
-# and the session layer's reconnect tests, twenty times each on one and
-# on two scheduler threads. Flap handling that passes once proves nothing.
+# Peer-lifecycle stress: the bounced-peer model test, the two leak tests
+# (bounces with MRAI on, both group keyings; connections that come and
+# go), the group join/leave tests and the session layer's reconnect
+# tests, twenty times each on one and on two scheduler threads. Flap
+# handling that passes once proves nothing.
 step_stress() {
 	for procs in 1 2; do
 		GOMAXPROCS=$procs $GO test -count=20 \
-			-run 'TestPeerLifecycleInterleavings|TestPeerUpOvertakenBySuccessor|TestMRAIFlusherDoesNotLeakAcrossBounces' ./internal/core/
+			-run 'TestPeerLifecycleInterleavings|TestPeerUpOvertakenBySuccessor|TestMRAIFlusherDoesNotLeakAcrossBounces|TestRouterForgetsFinishedSessions|TestGroupSecondMemberSeesSoleMembersRoutes|TestGroupJoinMidStream' ./internal/core/
 		GOMAXPROCS=$procs $GO test -count=20 \
 			-run 'TestMidOpenConnFailure|TestNetemResetTearsDownCleanly|TestConnectRetryBackoffUnderResets' ./internal/session/
 	done
