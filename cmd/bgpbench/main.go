@@ -421,9 +421,6 @@ type fanoutRow struct {
 	FanoutRatio     float64        `json:"update_group_fanout_ratio,omitempty"`
 	BytesBuilt      uint64         `json:"update_group_bytes_built,omitempty"`
 	BytesSaved      uint64         `json:"update_group_bytes_saved,omitempty"`
-	BytesMarshaled  uint64         `json:"update_group_bytes_marshaled,omitempty"`
-	CacheHits       uint64         `json:"update_group_marshal_cache_hits,omitempty"`
-	CacheMisses     uint64         `json:"update_group_marshal_cache_misses,omitempty"`
 	Mem             bench.MemInfo  `json:"mem"`
 	Host            bench.HostInfo `json:"host"`
 }
@@ -455,7 +452,7 @@ func cmdFanout(args []string) error {
 	fmt.Printf("Fanout benchmark: table %d, %d policy groups, peers %v, update groups off vs on\n%s\n\n",
 		*n, *groups, peerList, notPublished)
 	fmt.Printf("%6s %7s %7s %12s %16s %10s %8s %12s %12s %12s\n",
-		"peers", "grouped", "shards", "tps", "ns/prefix/peer", "duration", "fanout", "bytes saved", "marshaled", "rss")
+		"peers", "grouped", "shards", "tps", "ns/prefix/peer", "duration", "fanout", "bytes saved", "built", "rss")
 	modes := []bool{false, true}
 	if *groupedOnly {
 		modes = []bool{true}
@@ -473,7 +470,7 @@ func cmdFanout(args []string) error {
 			fmt.Printf("%6d %7v %7d %12.0f %16.1f %9.3fs %8.1f %12s %12s %12s\n",
 				res.Peers, res.UpdateGroups, res.Shards, res.TPS, res.NsPerPrefixPeer,
 				res.Duration.Seconds(), res.FanoutRatio,
-				fmtBytes(res.BytesSaved), fmtBytes(res.BytesMarshaled), fmtBytes(res.Mem.RSSBytes))
+				fmtBytes(res.BytesSaved), fmtBytes(res.BytesBuilt), fmtBytes(res.Mem.RSSBytes))
 			rows = append(rows, fanoutRow{
 				AFI:             res.AFI,
 				Peers:           res.Peers,
@@ -489,9 +486,6 @@ func cmdFanout(args []string) error {
 				FanoutRatio:     res.FanoutRatio,
 				BytesBuilt:      res.BytesBuilt,
 				BytesSaved:      res.BytesSaved,
-				BytesMarshaled:  res.BytesMarshaled,
-				CacheHits:       res.CacheHits,
-				CacheMisses:     res.CacheMisses,
 				Mem:             res.Mem,
 				Host:            bench.Host(),
 			})

@@ -5,11 +5,10 @@
 // needs nothing beyond the Go toolchain already required to build the
 // repo.
 //
-// v2 is flow-sensitive: the driver builds intraprocedural control-flow
-// graphs (internal/analysis/cfg) on demand and propagates analyzer
-// facts across packages in dependency order, so an analyzer can follow
-// a refcounted payload from internal/session into internal/core, or a
-// purity obligation from internal/fib into its dependencies.
+// RunAnalyzers propagates analyzer facts across packages in dependency
+// order, so an analyzer can follow a purity obligation from
+// internal/fib into its dependencies, or an ownership marker from the
+// package declaring a type into the packages using it.
 //
 // The generic vet checks catch generic bugs; the analyzers here encode
 // invariants specific to this codebase that vet cannot know about:
@@ -30,11 +29,6 @@
 //   - afifamily: switches over the address-family enum cover every
 //     family (or carry a default), and the IPv4-truncating Addr.V4
 //     accessor does not leak outside its package unaudited.
-//   - refbalance: path-sensitive acquire/release pairing for refcounted
-//     resources (session.SharedPayload fan-out references, the marshal
-//     cache's pooled slab arenas): every acquire must reach a release
-//     or an ownership transfer on all normal paths, no double release,
-//     no use after the final release.
 //   - shardowner: values of worker-owned types (annotated
 //     //bgplint:owned-by in the type's doc comment) must stay on their
 //     shard worker: escaping into a goroutine closure, a channel send,
@@ -59,8 +53,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-
-	"bgpbench/internal/analysis/cfg"
 )
 
 // Diagnostic is one finding: an analyzer name, a position, and a
@@ -69,9 +61,6 @@ type Diagnostic struct {
 	Analyzer string
 	Position token.Position
 	Message  string
-	// Baselined marks a finding matched by the committed baseline:
-	// audited, visible, not failing.
-	Baselined bool
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -89,7 +78,7 @@ type Analyzer struct {
 }
 
 // Pass carries one analyzer's view of one package, plus the shared
-// cross-package fact store and the CFG cache.
+// cross-package fact store.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
@@ -108,20 +97,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// CFG returns the control-flow graph for a function body, built once
-// per package and shared by every analyzer in the run.
-func (p *Pass) CFG(body *ast.BlockStmt) *cfg.CFG {
-	if p.Pkg.cfgs == nil {
-		p.Pkg.cfgs = map[*ast.BlockStmt]*cfg.CFG{}
-	}
-	if g, ok := p.Pkg.cfgs[body]; ok {
-		return g
-	}
-	g := cfg.New(body)
-	p.Pkg.cfgs[body] = g
-	return g
-}
-
 // Analyzers returns the full suite in presentation order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -132,7 +107,6 @@ func Analyzers() []*Analyzer {
 		ErrDrop,
 		SnapshotImmut,
 		AFIFamily,
-		RefBalance,
 		ShardOwner,
 		ReadPurity,
 	}
@@ -149,8 +123,7 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 }
 
 // analyzerNames returns the known-name set used to validate allow
-// directives (the driver's own pseudo-analyzer included: baseline
-// entries may audit directive findings too).
+// directives (bgplint's own pseudo-analyzer included).
 func analyzerNames(analyzers []*Analyzer) map[string]bool {
 	m := map[string]bool{driverName: true}
 	for _, a := range analyzers {

@@ -65,74 +65,6 @@ func TestMainJSON(t *testing.T) {
 	}
 }
 
-// TestMainBaselineLifecycle drives the whole audited-findings loop
-// in-process: write the ledger from a flagged fixture, re-run against
-// it (clean, findings still visible), then break it both ways — a
-// padded count must surface as stale, a truncated ledger as new
-// findings.
-func TestMainBaselineLifecycle(t *testing.T) {
-	pkg := fixturePrefix + "detclock"
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	var out, errb strings.Builder
-	if code := Main([]string{"-baseline", base, "-write-baseline", pkg}, &out, &errb); code != ExitClean {
-		t.Fatalf("-write-baseline = %d, want clean\nstderr:\n%s", code, errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := Main([]string{"-baseline", base, pkg}, &out, &errb); code != ExitClean {
-		t.Fatalf("run against fresh baseline = %d, want clean\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "[baselined]") {
-		t.Errorf("audited findings not printed with [baselined] marker:\n%s", out.String())
-	}
-
-	// Pad one entry's count: the extra occurrence matches nothing, so the
-	// ledger is stale and the gate must fail.
-	b, err := LoadBaseline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Findings[0].Count++
-	if err := WriteBaseline(base, b); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := Main([]string{"-baseline", base, pkg}, &out, &errb); code != ExitFindings {
-		t.Fatalf("run against padded baseline = %d, want findings (stale entry)", code)
-	}
-	if !strings.Contains(errb.String(), "stale baseline entry") {
-		t.Errorf("stale entry not reported:\n%s", errb.String())
-	}
-
-	// Drop an entry: its finding is now new and the gate must fail.
-	b.Findings[0].Count--
-	dropped := b.Findings[0]
-	b.Findings = b.Findings[1:]
-	if err := WriteBaseline(base, b); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := Main([]string{"-baseline", base, pkg}, &out, &errb); code != ExitFindings {
-		t.Fatalf("run against truncated baseline = %d, want findings (new finding)", code)
-	}
-	if !strings.Contains(out.String(), dropped.Message) {
-		t.Errorf("un-audited finding %q not printed:\n%s", dropped.Message, out.String())
-	}
-
-	// A corrupt ledger must refuse to run at all.
-	if err := os.WriteFile(base, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := Main([]string{"-baseline", base, pkg}, &out, &errb); code != ExitError {
-		t.Fatalf("run against corrupt baseline = %d, want %d", code, ExitError)
-	}
-}
-
 // TestMainAllowInventory pins the -allows markdown table: one row per
 // valid directive, written to a file or stdout.
 func TestMainAllowInventory(t *testing.T) {

@@ -11,30 +11,7 @@ type Config struct {
 	ErrDrop  ErrDropConfig
 	Snapshot SnapshotConfig
 	AFI      AFIConfig
-	Ref      RefConfig
 	Purity   PurityConfig
-}
-
-// RefConfig scopes the path-sensitive acquire/release pairing check
-// (refbalance). All entries are fully-qualified functions in
-// types.Func.FullName form.
-type RefConfig struct {
-	// Types are the qualified "pkgpath.TypeName" refcounted resource
-	// types whose references the analyzer tracks (values are pointers to
-	// these types).
-	Types []string
-	// Acquires return a counted reference the caller owns and must
-	// balance on every path. Functions that forward an acquired
-	// reference to their own caller are inferred automatically and do
-	// not need listing.
-	Acquires []string
-	// Releases drop one reference of their receiver or argument.
-	Releases []string
-	// Transfers consume one reference of a tracked argument: ownership
-	// moves to the callee on every path, including its failure paths.
-	// Functions that release or transfer their parameter on all paths
-	// are inferred automatically and do not need listing.
-	Transfers []string
 }
 
 // PurityConfig scopes the wait-free read-path purity check
@@ -268,46 +245,6 @@ func DefaultConfig() *Config {
 			Truncating: []string{
 				"(bgpbench/internal/netaddr.Addr).V4",
 				"(" + fixturePrefix + "afifamily.Addr).V4",
-			},
-		},
-		Ref: RefConfig{
-			Types: []string{
-				// The fan-out payload: the creator sets refs to the
-				// recipient count; every recipient path must consume
-				// exactly one reference.
-				"bgpbench/internal/session.SharedPayload",
-				// The marshal cache's pooled 128 KiB arena: refs = carved
-				// payloads + the cache's own open reference.
-				"bgpbench/internal/core.payloadSlab",
-
-				fixturePrefix + "refbalance.Payload",
-			},
-			Acquires: []string{
-				"bgpbench/internal/session.NewSharedPayload",
-				"(*bgpbench/internal/core.Router).getSlab",
-				// payloadFor returns a payload carrying one extra caller
-				// reference on top of the per-recipient ones.
-				"(*bgpbench/internal/core.marshalCache).payloadFor",
-
-				fixturePrefix + "refbalance.acquire",
-				fixturePrefix + "refbalance.acquireErr",
-			},
-			Releases: []string{
-				"(*bgpbench/internal/session.SharedPayload).Release",
-				"(*bgpbench/internal/core.payloadSlab).releaseRef",
-
-				"(*" + fixturePrefix + "refbalance.Payload).Release",
-			},
-			Transfers: []string{
-				// Each of these consumes one reference even when it fails:
-				// pushShared releases on overflow-drop, SendShared releases
-				// on a closed session, insert hands the reference to the
-				// cache eviction path.
-				"(*bgpbench/internal/core.outQueue).pushShared",
-				"(*bgpbench/internal/session.Session).SendShared",
-				"(*bgpbench/internal/core.marshalCache).insert",
-
-				fixturePrefix + "refbalance.send",
 			},
 		},
 		Purity: PurityConfig{

@@ -5,11 +5,9 @@ import "go/types"
 // FactStore carries analyzer facts across packages within one
 // RunAnalyzers invocation. Packages are analyzed in dependency order
 // (Load returns them that way), so an analyzer visiting
-// internal/core can read facts an earlier pass exported while visiting
-// internal/session — this is how refbalance knows that
-// session.SendShared consumes its payload argument, and how readpurity
-// knows that a netaddr helper is pure, without re-walking the other
-// package's bodies.
+// internal/fib can read facts an earlier pass exported while visiting
+// internal/netaddr — this is how readpurity knows that a netaddr helper
+// is pure, without re-walking the other package's bodies.
 //
 // Facts are keyed by (analyzer, types.Object, key). Object identity is
 // stable across packages because the whole load shares one type-checker

@@ -13,8 +13,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-
-	"bgpbench/internal/analysis/cfg"
 )
 
 // Package is one loaded, parsed, and type-checked package.
@@ -29,10 +27,6 @@ type Package struct {
 	// requested patterns; they are still analyzed (their facts feed the
 	// cross-package store) but their diagnostics are dropped.
 	DepOnly bool
-
-	// cfgs caches per-function control-flow graphs, shared by every
-	// analyzer visiting the package (see Pass.CFG).
-	cfgs map[*ast.BlockStmt]*cfg.CFG
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.

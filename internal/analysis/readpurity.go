@@ -70,13 +70,19 @@ func runReadPurity(pass *Pass) error {
 		entry[f] = true
 	}
 
-	// Summarize every function in the package.
+	// Summarize every declared function in the package; function
+	// literals are analyzed inline via their parents.
 	summaries := map[*types.Func]*puritySummary{}
-	for _, fn := range collectFuncs(pass.Pkg) {
-		if fn.obj == nil {
-			continue // literals are analyzed inline via their parents below
+	for _, f := range pass.Pkg.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if obj, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				summaries[obj] = summarizePurity(pass, obj, fd.Body, allow)
+			}
 		}
-		summaries[fn.obj] = summarizePurity(pass, fn.obj, fn.body, allow)
 	}
 
 	// Propagate impurity through the package-local call graph to a
@@ -220,7 +226,7 @@ func classifyPurityCall(pass *Pass, s *puritySummary, call *ast.CallExpr, allow 
 			return
 		}
 	}
-	fn := calleeOf(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		// Dynamic: a function value (Walk's yield — the caller's own
 		// code) or interface dispatch (opaque). Allowed by design.
@@ -376,4 +382,22 @@ func isParam(pass *Pass, v *types.Var) bool {
 		}
 	}
 	return false
+}
+
+// shortFuncName trims the package path qualifier for report messages:
+// "(*a/b/fib.Poptrie).Lookup" -> "(*fib.Poptrie).Lookup".
+func shortFuncName(full string) string {
+	i := strings.LastIndex(full, "/")
+	if i < 0 {
+		return full
+	}
+	tail := full[i+1:]
+	switch {
+	case strings.HasPrefix(full, "(*"):
+		return "(*" + tail
+	case strings.HasPrefix(full, "("):
+		return "(" + tail
+	default:
+		return tail
+	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // ShardOwner enforces single-goroutine ownership for the hot-path state
-// the update-group machinery keeps per shard worker: group state, the
-// marshal cache, dispatch buffers. These types are mutated without
+// the update-group machinery keeps per shard worker: group state,
+// catch-ups, dispatch buffers. These types are mutated without
 // synchronization by design — the shard worker is their only toucher —
 // so any route by which a value could reach another goroutine is a
 // data race waiting for load to expose it.

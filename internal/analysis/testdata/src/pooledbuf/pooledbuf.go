@@ -105,10 +105,9 @@ func BadSharedGetter() []byte {
 	return b.data[:0]        // want pooledbuf "pooled value escapes via return"
 }
 
-// GoodSharedGetter is the audited shared-payload shape (the fan-out
-// send path): the pooled buffer's ownership rides inside a refcounted
-// payload and returns to the pool via the free callback when the last
-// reference drains.
+// GoodSharedGetter is the audited shared-payload shape: the pooled
+// buffer's ownership rides inside a refcounted payload and returns to
+// the pool via the free callback when the last reference drains.
 func GoodSharedGetter() []byte {
 	//bgplint:allow(pooledbuf) reason=fixture: ownership transfers to a refcounted payload; its free callback Puts
 	b := pool.Get().(*batch)
@@ -116,15 +115,15 @@ func GoodSharedGetter() []byte {
 	return b.data[:0]
 }
 
-// slab models the marshal-cache payload arena: a pooled carve buffer
-// whose Put hides behind a reference count decremented by payload free
+// slab models a refcounted payload arena: a pooled carve buffer whose
+// Put hides behind a reference count decremented by payload free
 // callbacks, not behind any call the analyzer can pair with the Get.
 type slab struct {
 	data []byte
 	refs int
 }
 
-var slabPool = sync.Pool{New: func() any { return new(slab) }}
+var arenaPool = sync.Pool{New: func() any { return new(slab) }}
 
 type arena struct {
 	open *slab
@@ -133,18 +132,17 @@ type arena struct {
 // BadSlabRotate parks a pooled slab in the arena with no audit notes:
 // the analyzer sees a struct-field escape and no Put on any path.
 func BadSlabRotate(a *arena) {
-	s := slabPool.Get().(*slab) // want pooledbuf "no Put on any path"
+	s := arenaPool.Get().(*slab) // want pooledbuf "no Put on any path"
 	s.refs = 1
 	a.open = s // want pooledbuf "pooled value stored in struct field"
 }
 
-// GoodSlabRotate is the audited refcounted-slab-getter shape (the
-// grouped emission path's payload arena): the open slab parks in the
-// owning cache, every payload carved from it holds a counted reference,
-// and the last release returns the slab to the pool.
+// GoodSlabRotate is the audited refcounted-slab-getter shape: the open
+// slab parks in its owner, every payload carved from it holds a counted
+// reference, and the last release returns the slab to the pool.
 func GoodSlabRotate(a *arena) {
 	//bgplint:allow(pooledbuf) reason=fixture: ownership transfers to the arena; carved payloads hold counted references and the last release Puts
-	s := slabPool.Get().(*slab)
+	s := arenaPool.Get().(*slab)
 	s.refs = 1
 	//bgplint:allow(pooledbuf) reason=fixture: audited refcount handoff, the release path Puts when the carved payloads drain
 	a.open = s

@@ -40,8 +40,8 @@ func familyTable(afi string, n int, seed int64) ([]core.Route, error) {
 // large-packet regime, one attribute block for the whole table);
 // TableDFZ draws paths from a Zipf-weighted pool of ~n/50 distinct
 // paths (floor 16), approximating the DFZ's attribute-sharing skew so
-// big-table runs exercise realistic interning and marshal-cache hit
-// rates instead of the uniform best case.
+// big-table runs exercise realistic interning hit rates and run lengths
+// instead of the uniform best case.
 func familyTableMode(afi, mode string, n int, seed int64) ([]core.Route, error) {
 	attrGroups := 0
 	switch mode {

@@ -82,18 +82,12 @@ type FanoutResult struct {
 	// TableMode echoes the table composition ("" = uniform).
 	TableMode string
 	// GroupCount, FanoutRatio, BytesBuilt, and BytesSaved echo the
-	// router's update-group counters (zero when UpdateGroups is off).
+	// router's update-group counters (zero when UpdateGroups is off);
+	// BytesBuilt is what the shared sink marshaled.
 	GroupCount  int
 	FanoutRatio float64
 	BytesBuilt  uint64
 	BytesSaved  uint64
-	// BytesMarshaled is the bytes the shared marshal cache actually
-	// encoded; BytesBuilt / BytesMarshaled is the cross-group marshal
-	// amplification the cache removed. CacheHits / CacheMisses count
-	// cache probes.
-	BytesMarshaled uint64
-	CacheHits      uint64
-	CacheMisses    uint64
 	// Mem snapshots the whole process (router + in-process speakers)
 	// after the run settles.
 	Mem MemInfo
@@ -105,14 +99,13 @@ type FanoutResult struct {
 // groups (policy.CanonicalKey covers the MED), while exporting
 // byte-identical attribute blocks for the three quarters of the table
 // outside the sliver. Because every group matches the same sliver, the
-// emission runs break at the same prefixes in every group, so those
-// shared runs are byte-for-byte identical — the regime where the
-// router's cross-group marshal cache collapses groups × prefixes
-// marshal work into one marshal per distinct run. (Per-group disjoint
-// slivers would desynchronize run boundaries and defeat the cache even
-// where the attribute bytes agree.) Compare receiverPolicy
-// (conformance), which deliberately differentiates every route so
-// grouped and ungrouped streams can be digest-compared per group.
+// emission runs break at the same prefixes in every group, so most
+// groups marshal byte-for-byte identical runs: the workload where
+// sharing bytes across groups, not only within one, would have the
+// most to gain (each group marshals its own copy; see DESIGN §9).
+// Compare receiverPolicy (conformance), which deliberately
+// differentiates every route so grouped and ungrouped streams can be
+// digest-compared per group.
 func fanoutPolicy(g int) *policy.RouteMap {
 	med := uint32(1000 + g)
 	base := netaddr.AddrFrom4(64, 0, 0, 0)
@@ -183,9 +176,6 @@ func RunFanout(cfg FanoutConfig) (FanoutResult, error) {
 		out.FanoutRatio = gs.FanoutRatio()
 		out.BytesBuilt = gs.BytesBuilt
 		out.BytesSaved = gs.BytesSaved
-		out.BytesMarshaled = gs.BytesMarshaled
-		out.CacheHits = gs.CacheHits
-		out.CacheMisses = gs.CacheMisses
 	}
 	out.Mem = Mem()
 	return out, nil

@@ -16,8 +16,8 @@ import (
 
 // scalePrefixes picks the digest-equivalence table size: 20k by default
 // (seconds per cell), the full 200k gate when BGPBENCH_SCALE_GATE=1 —
-// the size where the grouped path's marshal cache, slab rotation, and
-// chunked catch-ups all cycle many times over.
+// the size where the grouped path's shared runs and chunked catch-ups
+// all cycle many times over.
 func scalePrefixes() int {
 	if os.Getenv("BGPBENCH_SCALE_GATE") != "" {
 		return 200_000
@@ -120,9 +120,10 @@ func runScaleCell(t *testing.T, table []core.Route, shards int, grouped bool) (s
 }
 
 // TestScaleDigestEquivalence is the large-table equivalence proof: a
-// DFZ-mode table (Zipf attribute sharing, so the marshal cache sees
-// realistic hit rates rather than one uniform path) lands through every
-// emission configuration — grouped and ungrouped, one shard and four —
+// DFZ-mode table (Zipf attribute sharing, so emission runs vary in
+// length as a real table's do rather than following one uniform path)
+// lands through every emission configuration — grouped and ungrouped,
+// one shard and four —
 // and every cell must settle to the same Loc-RIB digest and the same
 // per-peer sampled Adj-RIB-Out digests. Runs at 20k prefixes by default;
 // set BGPBENCH_SCALE_GATE=1 for the 200k gate. Skipped under -short.

@@ -18,9 +18,10 @@ import (
 // Every peer is a member of an update group (updategroup.go) and is
 // emitted from the group's one Adj-RIB-Out; a peer that shares its export
 // treatment with nobody is a group of one. The sink a run ends in is read
-// off the membership, not configured: out.push of a wire.Update for a
-// stream with one recipient, a marshal-cache SharedPayload for a stream
-// several members share.
+// off the membership, not configured: a wire.Update on the peer's
+// out-queue for a stream with one recipient, one framed UPDATE in bytes
+// of its own, marshaled once and queued to each, for a stream several
+// members share.
 
 // exportKey keys the memoized export transform.
 type exportKey struct {
@@ -239,9 +240,8 @@ func runPrefixes(dst []netaddr.Prefix, run []emitItem) []netaddr.Prefix {
 	return dst
 }
 
-// runUpdate builds the UPDATE carrying one run.
-func runUpdate(run []emitItem) wire.Update {
-	pfx := runPrefixes(make([]netaddr.Prefix, 0, len(run)), run)
+// runUpdate builds the UPDATE carrying one run, whose prefixes pfx holds.
+func runUpdate(run []emitItem, pfx []netaddr.Prefix) wire.Update {
 	if run[0].attrs == nil {
 		return wire.Update{Withdrawn: pfx}
 	}
@@ -254,7 +254,8 @@ func runUpdate(run []emitItem) wire.Update {
 func pushEmitRuns(ps *peerState, items []emitItem, limit int) {
 	for i, j := 0, 0; i < len(items); i = j {
 		j = runEnd(items, i, limit)
-		ps.out.push(runUpdate(items[i:j]))
+		pfx := runPrefixes(make([]netaddr.Prefix, 0, j-i), items[i:j])
+		ps.out.push(outMsg{m: runUpdate(items[i:j], pfx)})
 	}
 }
 

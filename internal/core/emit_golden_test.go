@@ -113,8 +113,7 @@ func emissionDigests(t *testing.T, grouped bool) map[string]string {
 			rc.out.mu.Unlock()
 			for _, m := range items {
 				if m.shared != nil {
-					sums[i].Write(m.shared.Bytes())
-					m.shared.Release()
+					sums[i].Write(m.shared)
 					continue
 				}
 				b, err := wire.Marshal(m.m)

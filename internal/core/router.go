@@ -190,23 +190,17 @@ type Router struct {
 	fibChanges      atomic.Uint64
 	stalePeerWork   atomic.Uint64 // peer work items dropped: their peerState no longer owned the address
 
-	// slabPool recycles the arena blocks the shared marshal cache carves
-	// fan-out payloads from (see marshalcache.go).
-	slabPool sync.Pool
 	// mraiSuppressed counts prefixes an MRAI flush found back where the
 	// window had found them; the rest are fan-out counters (see
 	// GroupStats).
-	mraiSuppressed      atomic.Uint64
-	groupRuns           atomic.Uint64
-	groupSends          atomic.Uint64
-	groupBytesBuilt     atomic.Uint64
-	groupBytesSaved     atomic.Uint64
-	groupBytesMarshaled atomic.Uint64
-	groupCacheHits      atomic.Uint64
-	groupCacheMisses    atomic.Uint64
-	groupRebuilds       atomic.Uint64
-	groupRebuildChunks  atomic.Uint64
-	rebuildHist         rebuildHist
+	mraiSuppressed     atomic.Uint64
+	groupRuns          atomic.Uint64
+	groupSends         atomic.Uint64
+	groupBytesBuilt    atomic.Uint64
+	groupBytesSaved    atomic.Uint64
+	groupRebuilds      atomic.Uint64
+	groupRebuildChunks atomic.Uint64
+	rebuildHist        rebuildHist
 }
 
 // shard is one decision worker: a work queue, worker-owned scratch
@@ -225,23 +219,23 @@ type shard struct {
 	// buffer and the snapshot of groups to apply changes to (emit.go);
 	// and what emission runs are assembled in — an action stream (dacts
 	// for a dirty member while acts holds the clean one), a run's
-	// prefixes, the originators in a fan-out, the sessions sharing a
+	// prefixes and its marshaled bytes before they are copied out for
+	// sharing, the originators in a fan-out, the sessions sharing a
 	// stream (empty between uses), and a list of table transitions.
 	fibOps       []fib.Op
 	emit         emitBuf
 	groupScratch []*updateGroup
 	acts, dacts  []emitItem
 	pfx          []netaddr.Prefix
+	wbuf         []byte
 	dirty        []netaddr.Addr
 	recipients   []*peerState
 	gitems       []groupEmitItem
 
-	// mcache is the shard's cross-group marshal cache (marshalcache.go);
-	// catchups the queue of in-progress chunked group rebuilds and member
-	// replays, advanced whenever the work queue idles and forcibly every
-	// catchupForceEvery items (busy counts toward the next forced chunk).
-	// All worker-owned.
-	mcache   marshalCache
+	// catchups is the queue of in-progress chunked group rebuilds and
+	// member replays, advanced whenever the work queue idles and forcibly
+	// every catchupForceEvery items (busy counts toward the next forced
+	// chunk). Worker-owned.
 	catchups []*groupCatchup
 	busy     int
 
@@ -364,7 +358,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		groups:    make(map[string]*updateGroup),
 	}
 	r.batchPool.New = func() any { return new(dispatchBatch) }
-	r.slabPool.New = func() any { return &payloadSlab{buf: make([]byte, slabSize)} }
 	for i := range r.shards {
 		r.shards[i] = &shard{work: make(chan workItem, 8192), owner: make(map[netaddr.Addr]*peerState)}
 	}
@@ -890,24 +883,15 @@ func (r *Router) sender(ps *peerState) {
 		if !ok {
 			return
 		}
-		for i, it := range msgs {
+		for _, it := range msgs {
 			var err error
 			if it.shared != nil {
-				// Ownership of one payload reference transfers to the
-				// session; SendShared releases it itself on failure.
 				err = ps.sess.SendShared(it.shared)
 			} else {
 				err = ps.sess.Send(it.m)
 			}
 			if err != nil {
-				// The session is gone: release the payload references the
-				// remaining queued items hold before abandoning them.
-				for _, rest := range msgs[i+1:] {
-					if rest.shared != nil {
-						rest.shared.Release()
-					}
-				}
-				return
+				return // the session is gone, and with it what is still queued
 			}
 		}
 	}
@@ -925,10 +909,6 @@ func (r *Router) sender(ps *peerState) {
 func (r *Router) shardWorker(i int) {
 	defer r.wg.Done()
 	s := r.shards[i]
-	// On shutdown the cache's payload references and the open slab's
-	// arena reference must be dropped here, on the owning worker —
-	// otherwise the slabs never drain back to the pool.
-	defer s.mcache.shutdown()
 	for {
 		if len(s.catchups) > 0 {
 			select {
@@ -1237,17 +1217,16 @@ func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 }
 
 // outMsg is one queued outbound transmission: a message to marshal, or
-// a shared pre-marshaled payload reference (update-group fan-out).
+// one framed UPDATE marshaled once and shared by the members of an
+// update group (immutable; see sendShared).
 type outMsg struct {
 	m      wire.Message
-	shared *session.SharedPayload
+	shared []byte
 }
 
 // outQueue is an unbounded FIFO of outbound items with close semantics.
 // It decouples the decision workers from slow peers so back-pressure on
-// one session cannot deadlock route propagation. Every path that drops a
-// queued item instead of delivering it releases the item's shared
-// payload reference, keeping the fan-out refcounts balanced.
+// one session cannot deadlock route propagation.
 type outQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -1261,26 +1240,12 @@ func newOutQueue() *outQueue {
 	return q
 }
 
-func (q *outQueue) push(m wire.Message) {
+func (q *outQueue) push(it outMsg) {
 	q.mu.Lock()
 	if !q.closed {
-		q.items = append(q.items, outMsg{m: m})
+		q.items = append(q.items, it)
 		q.cond.Signal()
 	}
-	q.mu.Unlock()
-}
-
-// pushShared queues one shared payload reference; ownership transfers to
-// the queue, which releases it if the queue is already closed.
-func (q *outQueue) pushShared(p *session.SharedPayload) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		p.Release()
-		return
-	}
-	q.items = append(q.items, outMsg{shared: p})
-	q.cond.Signal()
 	q.mu.Unlock()
 }
 
@@ -1300,17 +1265,11 @@ func (q *outQueue) take() ([]outMsg, bool) {
 }
 
 // close marks the queue closed and drops anything still queued (the
-// session is gone), releasing queued shared payload references.
+// session is gone).
 func (q *outQueue) close() {
 	q.mu.Lock()
 	q.closed = true
-	items := q.items
 	q.items = nil
 	q.cond.Broadcast()
 	q.mu.Unlock()
-	for _, it := range items {
-		if it.shared != nil {
-			it.shared.Release()
-		}
-	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"bgpbench/internal/netaddr"
@@ -17,19 +18,17 @@ import (
 // eBGP-vs-iBGP handling, behavior-equal export route map — see
 // rib.GroupKeyFor) can share one: each route change is then exported
 // once per group instead of once per peer, each emission run is
-// marshaled once through the shard's cross-group marshal cache
-// (marshalcache.go), and the framed bytes are fanned out to every member
-// session as a reference-counted session.SharedPayload. This turns
-// emission from O(peers × prefixes) into O(distinct runs) + a per-peer
-// byte copy at the transport, which is what makes hundreds of peering
-// sessions over DFZ-sized tables plausible. A peer that shares with
-// nobody is a group of one, and three rules read off worker-owned state
-// make that cost what a table of its own would: a table never stores an
-// entry no member can see (groupShard.visible), a stream with one
-// recipient skips the marshal cache (fanOutItems), and a group nobody is
-// registered in leaves the registry (releaseGroup). What lives here is
-// group membership, the clean/dirty fan-out partition, and chunked
-// catch-up.
+// marshaled once per group, and the same framed bytes are queued to
+// every member session. This turns emission from O(peers × prefixes)
+// into O(groups × prefixes) + a per-peer byte copy at the transport,
+// which is what makes hundreds of peering sessions over DFZ-sized tables
+// plausible. A peer that shares with nobody is a group of one, and three
+// rules read off worker-owned state make that cost what a table of its
+// own would: a table never stores an entry no member can see
+// (groupShard.visible), a stream with one recipient is not marshaled for
+// sharing (fanOutItems), and a group nobody is registered in leaves the
+// registry (releaseGroup). What lives here is group membership, the
+// clean/dirty fan-out partition, and chunked catch-up.
 //
 // Concurrency model: all per-shard group state (groupShard) is owned by
 // that shard's worker goroutine, so the group tables need no locks.
@@ -198,10 +197,9 @@ func memberActions(dst []emitItem, items []groupEmitItem, member netaddr.Addr) [
 // in the run, whose view differs from the shared stream) and "clean"
 // (everyone else). Dirty members — at most the handful of distinct
 // originators in the run — get an exact per-member stream through the
-// single-recipient sink, and so does a lone clean member: a shared
-// payload is for sharing. Two or more clean members share one stream,
-// computed and marshaled once and fanned out as one reference-counted
-// payload per run.
+// single-recipient sink, and so does a lone clean member: shared bytes
+// are for sharing. Two or more clean members share one stream, computed
+// and marshaled once and fanned out as the same bytes per run.
 func (r *Router) fanOutItems(si int, g *updateGroup, items []groupEmitItem) {
 	sh := &g.shards[si]
 	if len(items) == 0 || len(sh.members) == 0 {
@@ -239,8 +237,8 @@ func (r *Router) fanOutItems(si int, g *updateGroup, items []groupEmitItem) {
 
 // fanOutClean sends the shard's prepared clean action stream (s.acts) to
 // every member of g outside the dirty set (s.dirty): through the
-// single-recipient sink when that is one member, else as shared payloads,
-// accounting for the sharing.
+// single-recipient sink when that is one member, else through the shared
+// sink, accounting for the sharing.
 func (r *Router) fanOutClean(si int, g *updateGroup) {
 	s := r.shards[si]
 	for addr, ps := range g.shards[si].members {
@@ -248,50 +246,45 @@ func (r *Router) fanOutClean(si int, g *updateGroup) {
 			s.recipients = append(s.recipients, ps)
 		}
 	}
-	n := len(s.recipients)
-	if n == 1 {
+	if n := len(s.recipients); n == 1 {
 		pushEmitRuns(s.recipients[0], s.acts, r.cfg.ExportBatch)
-		s.recipients[0] = nil
-		s.recipients = s.recipients[:0]
-		return
-	}
-	if bytes := r.sendShared(s, g.as4); bytes > 0 {
+	} else if bytes := r.sendShared(s, g.as4); bytes > 0 {
 		r.groupRuns.Add(1)
 		r.groupSends.Add(uint64(n))
 		r.groupBytesBuilt.Add(uint64(bytes))
 		r.groupBytesSaved.Add(uint64(bytes * (n - 1)))
 	}
+	clear(s.recipients)
+	s.recipients = s.recipients[:0]
 }
 
-// sendShared is the shared-payload sink: each run of the shard's action
-// stream (s.acts) is framed once and every one of s.recipients, which it
-// consumes, is handed a reference to the bytes; it returns their total.
-// Runs come from the shard's cross-group marshal cache: a run another
-// group (or an earlier batch, or another member's replay) already
-// produced is sent again by reference instead of being re-marshaled, so
-// marshal bytes scale with distinct runs, not groups × prefixes. A run
-// that cannot be marshaled (it exceeds the wire's message bound) goes
-// out as a plain UPDATE per recipient, which then fails in the session
-// exactly as the single-recipient sink's would.
+// sendShared is the shared sink: each run of the shard's action stream
+// (s.acts) is marshaled once into the shard's scratch and copied out
+// into a slice of its own, which is queued to every one of s.recipients;
+// it returns the bytes marshaled. The copy is the whole ownership
+// protocol: nothing writes those bytes again (the scratch is reused for
+// the next run, the copy never is), sessions only read them, and the
+// garbage collector reclaims them after the last recipient's write. A
+// run that cannot be marshaled (it exceeds the wire's message bound)
+// goes out as a plain UPDATE to every recipient, which then fails in
+// the session exactly as the single-recipient sink's would.
 func (r *Router) sendShared(s *shard, as4 bool) (bytes int) {
 	for i, j := 0, 0; i < len(s.acts); i = j {
 		j = runEnd(s.acts, i, r.cfg.ExportBatch)
 		run := s.acts[i:j]
 		s.pfx = runPrefixes(s.pfx[:0], run)
-		p, err := s.mcache.payloadFor(r, as4, run[0].attrs, s.pfx, len(s.recipients))
-		if err != nil {
-			for _, ps := range s.recipients {
-				ps.out.push(runUpdate(run))
-			}
-			continue
+		var it outMsg
+		var err error
+		if s.wbuf, err = wire.AppendMessageMode(s.wbuf[:0], runUpdate(run, s.pfx), as4); err != nil {
+			it.m = runUpdate(run, slices.Clone(s.pfx))
+		} else {
+			it.shared = slices.Clone(s.wbuf)
+			bytes += len(it.shared)
 		}
-		bytes += len(p.Bytes())
 		for _, ps := range s.recipients {
-			ps.out.pushShared(p)
+			ps.out.push(it)
 		}
 	}
-	clear(s.recipients)
-	s.recipients = s.recipients[:0]
 	return bytes
 }
 
@@ -490,9 +483,7 @@ func (r *Router) rebuildChunk(si int, g *updateGroup, keys []netaddr.Prefix) {
 
 // replayChunk advances a member catch-up replay: re-read each snapshot
 // key from the group table — and its originator from the Loc-RIB — and
-// stream the member's view of it through the shared-payload sink, so
-// members joining the same group replay the same bytes without
-// re-marshaling them.
+// stream the member's view of it through the single-recipient sink.
 func (r *Router) replayChunk(si int, member *peerState, keys []netaddr.Prefix) {
 	s, sh, shardRIB := r.shards[si], &member.group.shards[si], r.rib.Shard(si)
 	s.acts = s.acts[:0]
@@ -501,8 +492,7 @@ func (r *Router) replayChunk(si int, member *peerState, keys []netaddr.Prefix) {
 			s.acts = append(s.acts, emitItem{prefix: p, attrs: attrs})
 		}
 	}
-	s.recipients = append(s.recipients, member)
-	r.sendShared(s, member.group.as4)
+	pushEmitRuns(member, s.acts, r.cfg.ExportBatch)
 }
 
 // UpdateNeighbor replaces the stored configuration for a neighbor AS at
@@ -546,11 +536,12 @@ type GroupStats struct {
 	// Suppressed counts MRAI net-no-op transitions dropped before
 	// emission.
 	Suppressed uint64
-	// BytesMarshaled is the bytes actually encoded by the shared marshal
-	// cache (misses only); BytesBuilt / BytesMarshaled is the marshal
-	// amplification the cache removed. CacheHits and CacheMisses count
-	// cache probes.
-	BytesMarshaled         uint64
+	// BytesMarshaled is the bytes the shared sink marshaled: each shared
+	// run once per group, so it equals BytesBuilt.
+	BytesMarshaled uint64
+	// CacheHits and CacheMisses always read 0: there is no marshal cache.
+	// They stay only because the repository benchmark reads them; like
+	// Config.UpdateGroups, their removal belongs to a benchmark change.
 	CacheHits, CacheMisses uint64
 	// Rebuilds counts chunked catch-ups scheduled (group rebuilds and
 	// member replays); RebuildChunks the bounded chunks they ran in.
@@ -579,9 +570,7 @@ func (r *Router) GroupStats() GroupStats {
 		BytesBuilt:     r.groupBytesBuilt.Load(),
 		BytesSaved:     r.groupBytesSaved.Load(),
 		Suppressed:     r.mraiSuppressed.Load(),
-		BytesMarshaled: r.groupBytesMarshaled.Load(),
-		CacheHits:      r.groupCacheHits.Load(),
-		CacheMisses:    r.groupCacheMisses.Load(),
+		BytesMarshaled: r.groupBytesBuilt.Load(),
 		Rebuilds:       r.groupRebuilds.Load(),
 		RebuildChunks:  r.groupRebuildChunks.Load(),
 	}
@@ -589,3 +578,50 @@ func (r *Router) GroupStats() GroupStats {
 
 // RebuildLatency returns the rebuild/catch-up latency histogram.
 func (r *Router) RebuildLatency() RebuildHist { return r.rebuildHist.snapshot() }
+
+// rebuildBuckets are the upper bounds (seconds) of the rebuild-latency
+// histogram, chosen to straddle the chunked walk times of 10k..1M-prefix
+// tables.
+var rebuildBuckets = [...]float64{0.001, 0.01, 0.1, 1, 10}
+
+// rebuildHist is a fixed-bucket histogram of group rebuild / catch-up
+// replay wall times, written lock-free by the shard workers.
+type rebuildHist struct {
+	counts   [len(rebuildBuckets) + 1]atomic.Uint64
+	sumNanos atomic.Uint64
+	total    atomic.Uint64
+}
+
+func (h *rebuildHist) observe(d time.Duration) {
+	sec := d.Seconds()
+	i := 0
+	for i < len(rebuildBuckets) && sec > rebuildBuckets[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	h.sumNanos.Add(uint64(d.Nanoseconds()))
+	h.total.Add(1)
+}
+
+// RebuildHist is a snapshot of the rebuild-latency histogram in
+// Prometheus terms: Counts[i] observations at most Bounds[i] seconds,
+// with Counts[len(Bounds)] the overflow bucket.
+type RebuildHist struct {
+	Bounds []float64
+	Counts []uint64
+	Sum    float64
+	Count  uint64
+}
+
+func (h *rebuildHist) snapshot() RebuildHist {
+	out := RebuildHist{
+		Bounds: rebuildBuckets[:],
+		Counts: make([]uint64, len(h.counts)),
+		Sum:    float64(h.sumNanos.Load()) / 1e9,
+		Count:  h.total.Load(),
+	}
+	for i := range h.counts {
+		out.Counts[i] = h.counts[i].Load()
+	}
+	return out
+}

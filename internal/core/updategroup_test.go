@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -457,10 +459,10 @@ func TestGroupPolicyKeyChange(t *testing.T) {
 // TestGroupStressChurnAliasing is the shared-buffer aliasing hunt, run
 // under the race detector by the CI race gate: 64 grouped receivers
 // draining a churn stream at eight different rates while the writer
-// announces and withdraws flat out. Shared emission payloads are
-// refcounted across all of them; a buffer recycled while any session
-// still holds it would corrupt framing (killing that session) or
-// attribute bytes (diverging the decoded fingerprints below).
+// announces and withdraws flat out. Each shared run's bytes are queued
+// to all members of a group; bytes rewritten while any session still
+// holds them would corrupt framing (killing that session) or attribute
+// bytes (diverging the decoded fingerprints below).
 func TestGroupStressChurnAliasing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -548,20 +550,113 @@ func TestGroupStressChurnAliasing(t *testing.T) {
 	}
 }
 
-// drainOut empties every receiver's outbound queue, releasing shared
-// payload references so pooled marshal buffers recycle as they would on
-// a live session's write path.
+// TestSharedRunBytesAreNotReused pins the shared sink's contract: the
+// bytes of a shared run are queued, as one slice, to every clean member,
+// and nothing writes them again — a later run is marshaled into bytes
+// of its own, not into a buffer the shard reuses, which would rewrite
+// what the slower members have not sent yet.
+func TestSharedRunBytesAreNotReused(t *testing.T) {
+	r, err := NewRouter(Config{
+		AS:           65000,
+		ID:           netaddr.MustParseAddr("10.255.0.1"),
+		Shards:       1,
+		UpdateGroups: true,
+		Neighbors:    []NeighborConfig{{AS: 65001}, {AS: 65101}, {AS: 65102}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feederID := netaddr.MustParseAddr("1.1.1.1")
+	feeder := benchPeer(r, feederID, 65001, nil)
+	members := []*peerState{
+		benchPeer(r, netaddr.AddrFrom4(10, 9, 0, 1), 65101, nil),
+		benchPeer(r, netaddr.AddrFrom4(10, 9, 0, 2), 65102, nil),
+	}
+
+	// Two batches of equal shape — same prefix count, paths of equal
+	// length — so their runs marshal to the same size, but with
+	// different attributes and prefixes, so their bytes differ.
+	batch := func(second byte) []Route {
+		rts := make([]Route, 8)
+		for i := range rts {
+			rts[i] = Route{
+				Prefix: netaddr.PrefixFrom(netaddr.AddrFrom4(10, second, byte(i), 0), 24),
+				Path:   wire.NewASPath(65001, uint32(second)),
+			}
+		}
+		return rts
+	}
+	// queued takes what the feeder's batch queued to each member; every
+	// item must be shared bytes.
+	queued := func() [][]byte {
+		var out [][]byte
+		for i, ps := range members {
+			ps.out.mu.Lock()
+			items := ps.out.items
+			ps.out.items = nil
+			ps.out.mu.Unlock()
+			if len(items) != 1 || items[0].shared == nil {
+				t.Fatalf("member %d: queued %d items (%+v), want one shared run", i, len(items), items)
+			}
+			out = append(out, items[0].shared)
+		}
+		return out
+	}
+	// nlri decodes one queued run and returns its announced prefixes.
+	nlri := func(b []byte) []string {
+		m, err := wire.Parse(b)
+		if err != nil {
+			t.Fatalf("queued run does not decode: %v", err)
+		}
+		var out []string
+		for _, p := range m.(wire.Update).NLRI {
+			out = append(out, p.String())
+		}
+		sort.Strings(out)
+		return out
+	}
+	want := func(rts []Route) []string {
+		var out []string
+		for _, rt := range rts {
+			out = append(out, rt.Prefix.String())
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	first := batch(1)
+	r.processUpdateBatch(0, feeder, Updates(first, feederID, len(first)))
+	runs := queued()
+	if &runs[0][0] != &runs[1][0] {
+		t.Fatal("the members were queued separate copies of one shared run")
+	}
+	before := slices.Clone(runs[0])
+
+	second := batch(2)
+	r.processUpdateBatch(0, feeder, Updates(second, feederID, len(second)))
+	later := queued()
+
+	if !bytes.Equal(runs[0], before) {
+		t.Fatal("a later run rewrote the bytes already queued for the first")
+	}
+	if bytes.Equal(runs[0], later[0]) {
+		t.Fatal("the two batches marshaled to equal bytes; the test proves nothing")
+	}
+	if got, w := nlri(runs[0]), want(first); !slices.Equal(got, w) {
+		t.Errorf("first run carries %v, want %v", got, w)
+	}
+	if got, w := nlri(later[0]), want(second); !slices.Equal(got, w) {
+		t.Errorf("second run carries %v, want %v", got, w)
+	}
+}
+
+// drainOut empties every receiver's outbound queue, as a live session's
+// sender would.
 func drainOut(peers []*peerState) {
 	for _, ps := range peers {
 		ps.out.mu.Lock()
-		items := ps.out.items
 		ps.out.items = nil
 		ps.out.mu.Unlock()
-		for _, m := range items {
-			if m.shared != nil {
-				m.shared.Release()
-			}
-		}
 	}
 }
 

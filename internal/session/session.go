@@ -137,18 +137,11 @@ type event struct {
 }
 
 // outboxItem is one queued transmission: either a message to marshal or
-// a pre-marshaled shared payload (update-group fan-out).
+// one pre-marshaled UPDATE shared with other sessions (update-group
+// fan-out; see SendShared).
 type outboxItem struct {
 	msg    wire.Message
-	shared *SharedPayload
-}
-
-// release drops the item's payload reference, if it carries one. Called
-// on every path where the item is dropped instead of written.
-func (it outboxItem) release() {
-	if it.shared != nil {
-		it.shared.Release()
-	}
+	shared []byte
 }
 
 // Session is one BGP peering endpoint.
@@ -275,17 +268,15 @@ func (s *Session) Send(m wire.Message) error {
 	}
 }
 
-// SendShared queues a pre-marshaled shared payload for transmission. The
-// caller transfers one payload reference per call: the session releases
-// it after writing the bytes, after dropping the item on a dead or
-// not-yet-established connection, or — on the error path here — before
-// returning, so the caller never needs to compensate.
-func (s *Session) SendShared(p *SharedPayload) error {
+// SendShared queues one framed UPDATE, already marshaled in the
+// session's wire mode, like Send. The session only reads update (its
+// writer copies the bytes), so the same bytes may be queued to any
+// number of sessions; the caller must never write them again.
+func (s *Session) SendShared(update []byte) error {
 	select {
-	case s.outbox <- outboxItem{shared: p}:
+	case s.outbox <- outboxItem{shared: update}:
 		return nil
 	case <-s.done:
-		p.Release()
 		return fmt.Errorf("session %s: closed", s.cfg.Name)
 	}
 }
@@ -432,35 +423,23 @@ func (s *Session) flushBatch() {
 // writeOut sends one queued item plus any immediately available batch.
 func (s *Session) writeOut(first outboxItem) bool {
 	if s.writer == nil || s.fsm.State() != fsm.Established {
-		// Not established: drop silently (releasing any shared payload).
-		// Benchmark speakers only send after Established fires, so this is
-		// a shutdown race, not a bug.
-		first.release()
+		// Not established: drop silently. Benchmark speakers only send
+		// after Established fires, so this is a shutdown race, not a bug.
 		return false
 	}
 	write := func(it outboxItem) bool {
+		var err error
 		if it.shared != nil {
-			// Shared fan-out payload: the bytes are already framed, and
-			// bufio copies them before WriteRaw returns, so the reference
-			// can be released immediately — even on error.
-			err := s.writer.WriteRaw(it.shared.Bytes())
-			if err == nil {
-				s.Stats.MsgsOut.Add(uint64(it.shared.Msgs()))
-				s.Stats.UpdatesOut.Add(uint64(it.shared.Updates()))
-			}
-			it.release()
-			if err != nil {
-				s.transportError(err)
-				return false
-			}
-			return true
+			err = s.writer.WriteRaw(it.shared)
+		} else {
+			err = s.writer.WriteMessageBuffered(it.msg)
 		}
-		if err := s.writer.WriteMessageBuffered(it.msg); err != nil {
+		if err != nil {
 			s.transportError(err)
 			return false
 		}
 		s.Stats.MsgsOut.Add(1)
-		if it.msg.Type() == wire.MsgUpdate {
+		if it.shared != nil || it.msg.Type() == wire.MsgUpdate {
 			s.Stats.UpdatesOut.Add(1)
 		}
 		return true
@@ -817,16 +796,4 @@ func (s *Session) cleanup() {
 	s.stopTimer(&s.flushTimer)
 	s.dropConn()
 	s.closeDone()
-	// Best-effort drain: release shared payload references stranded in the
-	// outbox so their buffers return to the pool. A Send racing with
-	// shutdown may still slip an item in afterwards; that reference leaks
-	// to the garbage collector, which is safe (never aliasing).
-	for {
-		select {
-		case it := <-s.outbox:
-			it.release()
-		default:
-			return
-		}
-	}
 }

@@ -35,10 +35,8 @@ type Summary struct {
 	Groups           int     `json:"update_group_count,omitempty"`
 	GroupFanoutRatio float64 `json:"update_group_fanout_ratio,omitempty"`
 	GroupBytesSaved  uint64  `json:"update_group_bytes_saved,omitempty"`
-	// Marshal-cache and incremental-rebuild counters.
+	// Shared-sink marshal bytes and incremental-rebuild counters.
 	GroupBytesMarshaled uint64 `json:"update_group_bytes_marshaled,omitempty"`
-	GroupCacheHits      uint64 `json:"update_group_marshal_cache_hits,omitempty"`
-	GroupCacheMisses    uint64 `json:"update_group_marshal_cache_misses,omitempty"`
 	GroupRebuilds       uint64 `json:"update_group_rebuilds,omitempty"`
 	GroupRebuildChunks  uint64 `json:"update_group_rebuild_chunks,omitempty"`
 }
@@ -81,8 +79,6 @@ func handler(r *core.Router, as uint32, inj *netem.Injector) http.Handler {
 			s.GroupFanoutRatio = gs.FanoutRatio()
 			s.GroupBytesSaved = gs.BytesSaved
 			s.GroupBytesMarshaled = gs.BytesMarshaled
-			s.GroupCacheHits = gs.CacheHits
-			s.GroupCacheMisses = gs.CacheMisses
 			s.GroupRebuilds = gs.Rebuilds
 			s.GroupRebuildChunks = gs.RebuildChunks
 		}
@@ -137,8 +133,6 @@ func handler(r *core.Router, as uint32, inj *netem.Injector) http.Handler {
 			fmt.Fprintf(w, "bgp_update_group_bytes_saved_total %d\n", gs.BytesSaved)
 			fmt.Fprintf(w, "bgp_update_group_suppressed_total %d\n", gs.Suppressed)
 			fmt.Fprintf(w, "bgp_update_group_bytes_marshaled_total %d\n", gs.BytesMarshaled)
-			fmt.Fprintf(w, "bgp_update_group_marshal_cache_hits_total %d\n", gs.CacheHits)
-			fmt.Fprintf(w, "bgp_update_group_marshal_cache_misses_total %d\n", gs.CacheMisses)
 			fmt.Fprintf(w, "bgp_update_group_rebuilds_total %d\n", gs.Rebuilds)
 			fmt.Fprintf(w, "bgp_update_group_rebuild_chunks_total %d\n", gs.RebuildChunks)
 			// Rebuild-latency histogram in Prometheus cumulative-bucket

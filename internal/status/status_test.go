@@ -108,9 +108,9 @@ func TestMetrics(t *testing.T) {
 }
 
 // TestMetricsUpdateGroups covers the grouped-emission metric block: the
-// marshal-cache counters and the rebuild-latency histogram must render
-// in Prometheus form (cumulative le buckets plus sum/count) even before
-// any rebuild has been observed.
+// shared-sink counters and the rebuild-latency histogram must render in
+// Prometheus form (cumulative le buckets plus sum/count) even before any
+// rebuild has been observed, and no marshal-cache series is left.
 func TestMetricsUpdateGroups(t *testing.T) {
 	r, err := core.NewRouter(core.Config{
 		AS:           65000,
@@ -128,8 +128,6 @@ func TestMetricsUpdateGroups(t *testing.T) {
 	for _, want := range []string{
 		"bgp_update_groups 0",
 		"bgp_update_group_bytes_marshaled_total 0",
-		"bgp_update_group_marshal_cache_hits_total 0",
-		"bgp_update_group_marshal_cache_misses_total 0",
 		"bgp_update_group_rebuilds_total 0",
 		"bgp_update_group_rebuild_chunks_total 0",
 		"bgp_update_group_rebuild_seconds_bucket{le=\"0.001\"} 0",
@@ -142,9 +140,15 @@ func TestMetricsUpdateGroups(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
+	if strings.Contains(body, "marshal_cache") {
+		t.Errorf("metrics still export a marshal-cache series:\n%s", body)
+	}
 	code, body = get(t, r, "/status")
 	if code != 200 {
 		t.Fatalf("status code %d", code)
+	}
+	if strings.Contains(body, "marshal_cache") {
+		t.Errorf("status still has a marshal-cache field: %s", body)
 	}
 	var s Summary
 	if err := json.Unmarshal([]byte(body), &s); err != nil {
