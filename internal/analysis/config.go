@@ -154,9 +154,7 @@ func DefaultConfig() *Config {
 				"(*sync.WaitGroup).Wait",
 				"(*sync.Cond).Wait",
 				"time.Sleep",
-				// Send blocks on outbox back-pressure; Stop waits up to
-				// two seconds for the event loop.
-				"(*bgpbench/internal/session.Session).Send",
+				// Stop waits up to two seconds for the event loop.
 				"(*bgpbench/internal/session.Session).Stop",
 				// The wire writer pushes onto the TCP socket.
 				"(*bgpbench/internal/wire.Writer).WriteMessage",

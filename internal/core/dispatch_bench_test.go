@@ -18,7 +18,7 @@ import (
 // Must run while the shard workers are idle.
 func benchPeer(r *Router, id netaddr.Addr, as uint32, export *policy.RouteMap) *peerState {
 	ps := r.register(rib.PeerInfo{Addr: id, ID: id, AS: as, EBGP: true},
-		NeighborConfig{AS: as, Export: export}, [2]bool{true, true}, false, r.nextGen())
+		NeighborConfig{AS: as, Export: export}, [2]bool{true, true}, false, r.nextGen(), &recorder{})
 	for i := 0; i < r.nshards; i++ {
 		r.processPeerUp(i, ps)
 	}

@@ -249,13 +249,13 @@ func runUpdate(run []emitItem, pfx []netaddr.Prefix) wire.Update {
 }
 
 // pushEmitRuns is the single-recipient sink: each run of the ordered
-// stream becomes one wire.Update on the peer's out-queue, marshaled by
-// its session.
+// stream becomes one wire.Update queued to the peer's session, which
+// marshals it.
 func pushEmitRuns(ps *peerState, items []emitItem, limit int) {
 	for i, j := 0, 0; i < len(items); i = j {
 		j = runEnd(items, i, limit)
 		pfx := runPrefixes(make([]netaddr.Prefix, 0, j-i), items[i:j])
-		ps.out.push(outMsg{m: runUpdate(items[i:j], pfx)})
+		ps.send(runUpdate(items[i:j], pfx))
 	}
 }
 

@@ -107,16 +107,12 @@ func emissionDigests(t *testing.T, grouped bool) map[string]string {
 			r.runCatchupChunk(0, s)
 		}
 		for i, rc := range recv {
-			rc.out.mu.Lock()
-			items := rc.out.items
-			rc.out.items = nil
-			rc.out.mu.Unlock()
-			for _, m := range items {
-				if m.shared != nil {
-					sums[i].Write(m.shared)
+			for _, m := range take(rc) {
+				if shared, ok := m.([]byte); ok {
+					sums[i].Write(shared)
 					continue
 				}
-				b, err := wire.Marshal(m.m)
+				b, err := wire.Marshal(m.(wire.Message))
 				if err != nil {
 					t.Fatal(err)
 				}

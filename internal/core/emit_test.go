@@ -13,14 +13,15 @@ import (
 )
 
 // pushedRuns packs items through the single-recipient sink and returns
-// what reached the out-queue, one UPDATE per run.
+// what was sent to the peer, one UPDATE per run.
 func pushedRuns(t *testing.T, items []emitItem, limit int) []wire.Update {
 	t.Helper()
-	ps := &peerState{out: newOutQueue()}
+	ps := &peerState{out: &recorder{}}
 	pushEmitRuns(ps, items, limit)
-	runs := make([]wire.Update, len(ps.out.items))
-	for i, m := range ps.out.items {
-		runs[i] = m.m.(wire.Update)
+	sent := take(ps)
+	runs := make([]wire.Update, len(sent))
+	for i, m := range sent {
+		runs[i] = m.(wire.Update)
 	}
 	return runs
 }

@@ -51,7 +51,7 @@ func lifecycleRouter(t *testing.T, shards int, grouped bool) *Router {
 // registerBounced registers one more session of the bounced peer, on the
 // next connection the router takes on.
 func registerBounced(r *Router) *peerState {
-	return r.register(bouncedInfo, bouncedCfg, [2]bool{true, true}, false, r.nextGen())
+	return r.register(bouncedInfo, bouncedCfg, [2]bool{true, true}, false, r.nextGen(), &recorder{})
 }
 
 // lifecycleOrders returns every interleaving two handler goroutines can
@@ -224,11 +224,9 @@ func TestPeerLifecycleInterleavings(t *testing.T) {
 					}
 					r.mu.Unlock()
 					for name, ps := range map[string]*peerState{"ps1": ps1, "ps2": ps2} {
-						ps.out.mu.Lock()
-						if !ps.out.closed {
-							t.Errorf("%s out-queue still open", name)
+						if !ps.detached.Load() {
+							t.Errorf("%s still attached to its session", name)
 						}
-						ps.out.mu.Unlock()
 					}
 				})
 			}
@@ -294,7 +292,7 @@ func TestRegisterRefusesOlderConnection(t *testing.T) {
 	r := lifecycleRouter(t, 1, false)
 	abandoned := r.nextGen() // taken on first, establishes last
 	live := registerBounced(r)
-	if late := r.register(bouncedInfo, bouncedCfg, [2]bool{true, true}, false, abandoned); late != nil {
+	if late := r.register(bouncedInfo, bouncedCfg, [2]bool{true, true}, false, abandoned, &recorder{}); late != nil {
 		t.Fatal("registration from the older connection accepted")
 	}
 	r.mu.Lock()
@@ -302,10 +300,8 @@ func TestRegisterRefusesOlderConnection(t *testing.T) {
 	if r.peers[bouncedID] != live {
 		t.Fatal("live registration displaced")
 	}
-	live.out.mu.Lock()
-	defer live.out.mu.Unlock()
-	if live.out.closed {
-		t.Fatal("live registration's out-queue closed")
+	if live.detached.Load() {
+		t.Fatal("live registration detached from its session")
 	}
 }
 
@@ -323,8 +319,7 @@ func TestRouterForgetsFinishedSessions(t *testing.T) {
 	}
 	sp := dialSpeaker(t, r, 65001, "1.1.1.1")
 	// A route in the Loc-RIB says the router's side of the session is all
-	// there: its Up, which follows the start of its sender, has been
-	// handled.
+	// there: its Up has been handled.
 	sp.announce(t, GenerateTable(TableGenConfig{N: 1, Seed: 1, FirstAS: 65001}), 1)
 	waitFor(t, 5*time.Second, func() bool { return r.RIBLen() == 1 })
 	baseGoroutines, baseSessions := runtime.NumGoroutine(), held()

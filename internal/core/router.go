@@ -112,7 +112,11 @@ type peerState struct {
 	info rib.PeerInfo
 	cfg  NeighborConfig
 	sess *session.Session
-	out  *outQueue
+	// out is where shard workers send the peer's UPDATEs: its session, or
+	// a recorder in socket-free tests. Nothing more is sent to it once
+	// the registration is detached — superseded or torn down.
+	out      peerOut
+	detached atomic.Bool
 
 	group *updateGroup
 
@@ -426,9 +430,6 @@ func (r *Router) Stop() {
 	sessions := make([]*session.Session, 0, len(r.sessions))
 	for s := range r.sessions {
 		sessions = append(sessions, s)
-	}
-	for _, p := range r.peers {
-		p.out.close()
 	}
 	r.mu.Unlock()
 	for _, s := range sessions {
@@ -778,7 +779,7 @@ func (h *routerHandler) Established(s *session.Session) {
 		AS:   peerAS,
 		EBGP: peerAS != r.cfg.AS,
 	}
-	ps := r.register(info, ncfg, s.NegotiatedFamilies(), s.FourOctetAS(), h.gen)
+	ps := r.register(info, ncfg, s.NegotiatedFamilies(), s.FourOctetAS(), h.gen, s)
 	if ps == nil {
 		// The peer has since connected again — this is the connection it
 		// abandoned, finishing its handshake late — or the router is
@@ -788,9 +789,6 @@ func (h *routerHandler) Established(s *session.Session) {
 	}
 	ps.sess = s
 	h.ps = ps
-
-	r.wg.Add(1)
-	go r.sender(ps)
 	r.fanOut(workPeerUp, ps)
 }
 
@@ -802,10 +800,10 @@ func (r *Router) nextGen() uint64 {
 	return r.peerGen
 }
 
-// register builds the peerState for a newly established peer, binds it
-// to its update group and makes it the router-level registration for the
-// peer's address, superseding a bounced predecessor's. Shards learn of it
-// from its workPeerUp.
+// register builds the peerState for a newly established peer, sending to
+// out, binds it to its update group and makes it the router-level
+// registration for the peer's address, superseding and detaching a
+// bounced predecessor's. Shards learn of it from its workPeerUp.
 //
 // It returns nil when the router is stopping, or when the address is
 // already registered from a newer connection. Establishment order does
@@ -815,15 +813,15 @@ func (r *Router) nextGen() uint64 {
 // own EOF. Connection order does say: a peer dials again only after
 // giving the old connection up, so the later connection is the one it
 // holds.
-func (r *Router) register(info rib.PeerInfo, ncfg NeighborConfig, afis [2]bool, as4 bool, gen uint64) *peerState {
-	ps := &peerState{info: info, cfg: ncfg, gen: gen, out: newOutQueue()}
+func (r *Router) register(info rib.PeerInfo, ncfg NeighborConfig, afis [2]bool, as4 bool, gen uint64, out peerOut) *peerState {
+	ps := &peerState{info: info, cfg: ncfg, gen: gen, out: out}
 	ps.downLeft.Store(int32(r.nshards))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	select {
 	case <-r.done:
-		// Stop has closed the out-queues of the peers it found; one
-		// registered now would keep its sender waiting forever.
+		// Stop has collected the sessions it stops; a peer registered
+		// now would outlive it.
 		return nil
 	default:
 	}
@@ -831,7 +829,7 @@ func (r *Router) register(info rib.PeerInfo, ncfg NeighborConfig, afis [2]bool, 
 		if old.gen > gen {
 			return nil
 		}
-		old.out.close()
+		old.detached.Store(true)
 	}
 	ps.group = r.groupFor(info, ncfg.Export, as4, afis)
 	r.peers[info.Addr] = ps
@@ -874,26 +872,25 @@ func (h *routerHandler) Finished(s *session.Session) {
 	h.r.mu.Unlock()
 }
 
-// sender drains a peer's unbounded out-queue into its session, isolating
-// the decision workers from transport back-pressure.
-func (r *Router) sender(ps *peerState) {
-	defer r.wg.Done()
-	for {
-		msgs, ok := ps.out.take()
-		if !ok {
-			return
-		}
-		for _, it := range msgs {
-			var err error
-			if it.shared != nil {
-				err = ps.sess.SendShared(it.shared)
-			} else {
-				err = ps.sess.Send(it.m)
-			}
-			if err != nil {
-				return // the session is gone, and with it what is still queued
-			}
-		}
+// peerOut is a peer's outbound target: a session, whose Send and
+// SendShared never block, so no slow peer can hold up a shard worker.
+type peerOut interface {
+	Send(wire.Message) error
+	SendShared(update []byte) error
+}
+
+// send and sendShared hand one UPDATE to the peer's session unless the
+// registration is detached. An error means the session has finished and
+// dropped it.
+func (ps *peerState) send(m wire.Message) {
+	if !ps.detached.Load() {
+		_ = ps.out.Send(m)
+	}
+}
+
+func (ps *peerState) sendShared(update []byte) {
+	if !ps.detached.Load() {
+		_ = ps.out.SendShared(update)
 	}
 }
 
@@ -1051,7 +1048,7 @@ func (r *Router) shardDone(ps *peerState) {
 	}
 	r.releaseGroup(ps.group)
 	r.mu.Unlock()
-	ps.out.close()
+	ps.detached.Store(true)
 	if r.damper != nil {
 		r.damper.Forget(ps.info.Addr)
 	}
@@ -1214,62 +1211,4 @@ func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 	for _, g := range s.groupScratch {
 		r.applyToTable(si, s, g, ch)
 	}
-}
-
-// outMsg is one queued outbound transmission: a message to marshal, or
-// one framed UPDATE marshaled once and shared by the members of an
-// update group (immutable; see sendShared).
-type outMsg struct {
-	m      wire.Message
-	shared []byte
-}
-
-// outQueue is an unbounded FIFO of outbound items with close semantics.
-// It decouples the decision workers from slow peers so back-pressure on
-// one session cannot deadlock route propagation.
-type outQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []outMsg
-	closed bool
-}
-
-func newOutQueue() *outQueue {
-	q := &outQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *outQueue) push(it outMsg) {
-	q.mu.Lock()
-	if !q.closed {
-		q.items = append(q.items, it)
-		q.cond.Signal()
-	}
-	q.mu.Unlock()
-}
-
-// take blocks for the next batch of items; ok=false after close.
-func (q *outQueue) take() ([]outMsg, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	items := q.items
-	q.items = nil
-	return items, true
-}
-
-// close marks the queue closed and drops anything still queued (the
-// session is gone).
-func (q *outQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.items = nil
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

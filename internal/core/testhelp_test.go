@@ -65,6 +65,35 @@ func (s *testSpeaker) withdraw(t *testing.T, routes []Route, perMsg int) {
 	}
 }
 
+// recorder is a socket-free outbound target for a peer: it keeps what
+// the shard workers send it, in order — a wire.Message from Send, the
+// shared bytes from SendShared.
+type recorder struct {
+	mu   sync.Mutex
+	sent []any
+}
+
+func (rc *recorder) Send(m wire.Message) error { return rc.add(m) }
+
+func (rc *recorder) SendShared(update []byte) error { return rc.add(update) }
+
+func (rc *recorder) add(it any) error {
+	rc.mu.Lock()
+	rc.sent = append(rc.sent, it)
+	rc.mu.Unlock()
+	return nil
+}
+
+// take returns what ps's recorder holds and empties it.
+func take(ps *peerState) []any {
+	rc := ps.out.(*recorder)
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	sent := rc.sent
+	rc.sent = nil
+	return sent
+}
+
 func mustStartRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
 	r, err := NewRouter(cfg)

@@ -273,16 +273,18 @@ func (r *Router) sendShared(s *shard, as4 bool) (bytes int) {
 		j = runEnd(s.acts, i, r.cfg.ExportBatch)
 		run := s.acts[i:j]
 		s.pfx = runPrefixes(s.pfx[:0], run)
-		var it outMsg
 		var err error
 		if s.wbuf, err = wire.AppendMessageMode(s.wbuf[:0], runUpdate(run, s.pfx), as4); err != nil {
-			it.m = runUpdate(run, slices.Clone(s.pfx))
-		} else {
-			it.shared = slices.Clone(s.wbuf)
-			bytes += len(it.shared)
+			m := runUpdate(run, slices.Clone(s.pfx))
+			for _, ps := range s.recipients {
+				ps.send(m)
+			}
+			continue
 		}
+		shared := slices.Clone(s.wbuf)
+		bytes += len(shared)
 		for _, ps := range s.recipients {
-			ps.out.push(it)
+			ps.sendShared(shared)
 		}
 	}
 	return bytes

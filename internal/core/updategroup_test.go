@@ -254,7 +254,7 @@ func TestGroupSecondMemberSeesSoleMembersRoutes(t *testing.T) {
 			// joined waits until n has seen want prefixes, then proves it is
 			// sent no more: DumpAdjOut drains the group's catch-ups on
 			// every shard, so a marker route announced after it is the
-			// last thing in n's FIFO out-queue.
+			// last thing in n's outbound queue.
 			markers := 0
 			joined := func(n *testSpeaker, want int) {
 				t.Helper()
@@ -591,14 +591,15 @@ func TestSharedRunBytesAreNotReused(t *testing.T) {
 	queued := func() [][]byte {
 		var out [][]byte
 		for i, ps := range members {
-			ps.out.mu.Lock()
-			items := ps.out.items
-			ps.out.items = nil
-			ps.out.mu.Unlock()
-			if len(items) != 1 || items[0].shared == nil {
+			items := take(ps)
+			var shared []byte
+			if len(items) == 1 {
+				shared, _ = items[0].([]byte)
+			}
+			if shared == nil {
 				t.Fatalf("member %d: queued %d items (%+v), want one shared run", i, len(items), items)
 			}
-			out = append(out, items[0].shared)
+			out = append(out, shared)
 		}
 		return out
 	}
@@ -650,13 +651,11 @@ func TestSharedRunBytesAreNotReused(t *testing.T) {
 	}
 }
 
-// drainOut empties every receiver's outbound queue, as a live session's
-// sender would.
+// drainOut empties every receiver's recorder, as a live session's
+// writes would its queue.
 func drainOut(peers []*peerState) {
 	for _, ps := range peers {
-		ps.out.mu.Lock()
-		ps.out.items = nil
-		ps.out.mu.Unlock()
+		take(ps)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,18 +145,24 @@ type outboxItem struct {
 	shared []byte
 }
 
+// outChunk bounds the queued items the event loop writes per turn, so
+// timers, inbound events and Stop are served between chunks of a burst.
+const outChunk = 256
+
 // Session is one BGP peering endpoint.
 type Session struct {
 	cfg    Config
 	fsm    *fsm.FSM
 	events chan event
-	outbox chan outboxItem
+	wake   chan struct{} // one slot: the outbound queue has items for the loop
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// Owned by the event loop.
+	// Owned by the event loop. conn is also read by closeDone, so the
+	// loop assigns it under mu.
 	conn         net.Conn
 	writer       *wire.Writer
+	sendHold     time.Time // the transport's write deadline; zero when none is set
 	holdTimer    *time.Timer
 	kaTimer      *time.Timer
 	retryTimer   *time.Timer
@@ -178,6 +185,7 @@ type Session struct {
 	localAFIs map[uint16]bool
 
 	mu          sync.Mutex
+	outq        [][]outboxItem // the outbound queue: Send appends, the loop takes the oldest chunk
 	established bool
 	lastErr     error
 	negAS4      bool    // both sides advertised the 4-octet-AS capability
@@ -203,7 +211,7 @@ func New(cfg Config) *Session {
 		cfg:    cfg,
 		fsm:    fsm.New(cfg.FSM),
 		events: make(chan event, 64),
-		outbox: make(chan outboxItem, 1024),
+		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
 	s.bh, _ = cfg.Handler.(BatchHandler)
@@ -231,21 +239,27 @@ func (s *Session) Attach(conn net.Conn) {
 }
 
 // Stop terminates the session gracefully (CEASE notification when
-// established) and waits for its goroutines.
+// established) and waits for its goroutines. A loop that has not
+// finished within two seconds — parked on a write to a peer that stopped
+// reading, say — is ended by force.
 func (s *Session) Stop() {
+	grace := time.After(2 * time.Second)
 	select {
 	case s.events <- event{fsm: fsm.Event{Type: fsm.EvManualStop}}:
+		select {
+		case <-s.done:
+		case <-grace:
+		}
 	case <-s.done:
+	case <-grace:
 	}
-	// Give the loop a moment to process the stop, then force shutdown.
-	select {
-	case <-s.done:
-	case <-time.After(2 * time.Second):
-		s.closeDone()
-	}
+	s.closeDone()
 	s.wg.Wait()
 }
 
+// closeDone finishes the session for everyone outside the event loop:
+// Sends fail from now on, what they queued is dropped, and the transport
+// is closed so that a write parked on it returns.
 func (s *Session) closeDone() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,19 +267,19 @@ func (s *Session) closeDone() {
 	case <-s.done:
 	default:
 		close(s.done)
+		s.outq = nil
+		if s.conn != nil {
+			s.conn.Close() //bgplint:allow(errdrop) reason=forced shutdown; the loop's own teardown closes it again
+		}
 	}
 }
 
 // Send queues a message for transmission on the established session. It
-// blocks when the outbox is full (back-pressure) and returns an error once
-// the session has terminated.
+// never blocks: the queue is unbounded, and the event loop writes it out
+// in chunks between its other events. It returns an error once the
+// session has finished.
 func (s *Session) Send(m wire.Message) error {
-	select {
-	case s.outbox <- outboxItem{msg: m}:
-		return nil
-	case <-s.done:
-		return fmt.Errorf("session %s: closed", s.cfg.Name)
-	}
+	return s.enqueue(outboxItem{msg: m})
 }
 
 // SendShared queues one framed UPDATE, already marshaled in the
@@ -273,11 +287,52 @@ func (s *Session) Send(m wire.Message) error {
 // writer copies the bytes), so the same bytes may be queued to any
 // number of sessions; the caller must never write them again.
 func (s *Session) SendShared(update []byte) error {
+	return s.enqueue(outboxItem{shared: update})
+}
+
+func (s *Session) enqueue(it outboxItem) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	select {
-	case s.outbox <- outboxItem{shared: update}:
-		return nil
 	case <-s.done:
 		return fmt.Errorf("session %s: closed", s.cfg.Name)
+	default:
+	}
+	switch n := len(s.outq); {
+	case n == 0:
+		s.outq = append(s.outq, nil)
+		s.wakeLoop()
+	case len(s.outq[n-1]) == outChunk:
+		// A burst: further chunks are allocated whole, not grown.
+		s.outq = append(s.outq, make([]outboxItem, 0, outChunk))
+	}
+	tail := &s.outq[len(s.outq)-1]
+	*tail = append(*tail, it)
+	return nil
+}
+
+// takeOut removes the oldest chunk from the outbound queue and wakes the
+// loop again for the rest, if any. Chunks are never reused, so a drained
+// burst leaves no items behind.
+func (s *Session) takeOut() []outboxItem {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.outq) == 0 {
+		return nil
+	}
+	chunk := s.outq[0]
+	s.outq[0] = nil
+	if s.outq = s.outq[1:]; len(s.outq) > 0 {
+		s.wakeLoop()
+	}
+	return chunk
+}
+
+// wakeLoop leaves the loop a wake-up unless one is already pending.
+func (s *Session) wakeLoop() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -366,10 +421,8 @@ func (s *Session) loop() {
 			if s.handle(ev) {
 				return
 			}
-		case it := <-s.outbox:
-			if !s.writeOut(it) {
-				continue
-			}
+		case <-s.wake:
+			s.writeOut(s.takeOut())
 		case <-s.flushC:
 			s.flushC = nil
 			s.flushBatch()
@@ -420,14 +473,16 @@ func (s *Session) flushBatch() {
 	s.bh.UpdateBatch(s, b)
 }
 
-// writeOut sends one queued item plus any immediately available batch.
-func (s *Session) writeOut(first outboxItem) bool {
-	if s.writer == nil || s.fsm.State() != fsm.Established {
+// writeOut writes one chunk taken off the outbound queue as one flush,
+// under the send hold timer.
+func (s *Session) writeOut(chunk []outboxItem) {
+	if len(chunk) == 0 || s.writer == nil || s.fsm.State() != fsm.Established {
 		// Not established: drop silently. Benchmark speakers only send
 		// after Established fires, so this is a shutdown race, not a bug.
-		return false
+		return
 	}
-	write := func(it outboxItem) bool {
+	s.armSendHold()
+	for _, it := range chunk {
 		var err error
 		if it.shared != nil {
 			err = s.writer.WriteRaw(it.shared)
@@ -435,38 +490,43 @@ func (s *Session) writeOut(first outboxItem) bool {
 			err = s.writer.WriteMessageBuffered(it.msg)
 		}
 		if err != nil {
-			s.transportError(err)
-			return false
+			s.writeFailed(err)
+			return
 		}
 		s.Stats.MsgsOut.Add(1)
 		if it.shared != nil || it.msg.Type() == wire.MsgUpdate {
 			s.Stats.UpdatesOut.Add(1)
 		}
-		return true
-	}
-	if !write(first) {
-		return false
-	}
-	// Opportunistically batch queued messages into one flush.
-batch:
-	for i := 0; i < 256; i++ {
-		select {
-		case it := <-s.outbox:
-			if !write(it) {
-				return false
-			}
-		default:
-			break batch
-		}
 	}
 	if err := s.writer.Flush(); err != nil {
-		s.transportError(err)
-		return false
+		s.writeFailed(err)
 	}
-	return true
 }
 
-func (s *Session) transportError(err error) {
+// armSendHold runs the send hold timer (RFC 9687) over the writes that
+// follow as a write deadline: a peer that takes no bytes for one to two
+// negotiated hold times fails the transport instead of parking the event
+// loop. The deadline is moved to twice the hold time ahead only once less
+// than one hold time is left, not on every write. None while the hold
+// time is zero or not yet negotiated.
+func (s *Session) armSendHold() {
+	hold := time.Duration(s.fsm.HoldTime()) * time.Second
+	now := time.Now()
+	if hold == 0 || s.sendHold.Sub(now) >= hold {
+		return
+	}
+	s.sendHold = now.Add(2 * hold)
+	s.conn.SetWriteDeadline(s.sendHold) //bgplint:allow(errdrop) reason=it fails only on a closed transport, which fails the write that follows
+}
+
+// writeFailed reports a failed write as a transport failure, recording
+// the error now: the reader's echo of it ("use of closed connection") may
+// be queued ahead of the event, and Down reports the first one recorded.
+func (s *Session) writeFailed(err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = fmt.Errorf("send hold timer expired: %w", err)
+	}
+	s.recordErr(err)
 	select {
 	case s.events <- event{fsm: fsm.Event{Type: fsm.EvTCPConnFails}, err: err}:
 	default:
@@ -601,18 +661,16 @@ func (s *Session) recordErr(err error) {
 	s.mu.Unlock()
 }
 
-// sendNow writes a control message immediately (bypassing the outbox so
-// OPEN/KEEPALIVE/NOTIFICATION are not queued behind bulk updates).
+// sendNow writes a control message immediately (bypassing the outbound
+// queue so OPEN/KEEPALIVE/NOTIFICATION are not queued behind bulk
+// updates), under the send hold timer like a queued chunk.
 func (s *Session) sendNow(m wire.Message) {
 	if s.writer == nil {
 		return
 	}
+	s.armSendHold()
 	if err := s.writer.WriteMessage(m); err != nil {
-		// Record the write's own error now: the reader's echo of the same
-		// failure ("use of closed connection") may be queued ahead of the
-		// event below, and the first recorded error is the reported one.
-		s.recordErr(err)
-		s.transportError(err)
+		s.writeFailed(err)
 		return
 	}
 	s.Stats.MsgsOut.Add(1)
@@ -654,8 +712,10 @@ func (s *Session) adoptConn(conn net.Conn) {
 		conn.Close() //bgplint:allow(errdrop) reason=best-effort close of a rejected duplicate transport
 		return
 	}
+	s.mu.Lock()
 	s.conn = conn
-	s.writer = wire.NewWriter(conn)
+	s.mu.Unlock()
+	s.writer, s.sendHold = wire.NewWriter(conn), time.Time{}
 	cancel := make(chan struct{})
 	s.readerCancel = cancel
 	s.wg.Add(1)
@@ -727,7 +787,9 @@ func (s *Session) dropConn() {
 	}
 	if s.conn != nil {
 		s.conn.Close() //bgplint:allow(errdrop) reason=teardown of an already-failed transport; the session event is the signal
+		s.mu.Lock()
 		s.conn = nil
+		s.mu.Unlock()
 	}
 	s.writer = nil
 }

@@ -131,9 +131,7 @@ func (h *speakerHandler) Update(_ *session.Session, u wire.Update) {
 }
 
 // Down implements session.Handler. It runs on the session's event-loop
-// goroutine and must not take s.mu: a journal replay can hold the lock
-// while blocked in Send, waiting for this very event loop to finish
-// tearing the session down.
+// goroutine.
 func (h *speakerHandler) Down(sess *session.Session, err error) {
 	select {
 	case h.down <- err:
