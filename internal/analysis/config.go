@@ -115,9 +115,10 @@ func DefaultConfig() *Config {
 				// Flap damping: penalty decay is driven by the pluggable
 				// clock so tests can replay decision sequences.
 				"bgpbench/internal/damping": nil,
-				// Only the conformance path of bench is deterministic;
-				// live.go measures wall-clock throughput by design.
-				"bgpbench/internal/bench": {"conformance.go"},
+				// Only the conformance path of bench (with the phase
+				// settle it shares) is deterministic; live.go measures
+				// wall-clock throughput by design.
+				"bgpbench/internal/bench": {"conformance.go", "testbed.go"},
 
 				fixturePrefix + "detclock": nil,
 			},

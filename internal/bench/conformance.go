@@ -26,10 +26,10 @@ type ConformanceConfig struct {
 	// Shards is the router's decision-worker count (0 = GOMAXPROCS).
 	Shards int
 	// TableSize is the routing-table size in prefixes (default 600 —
-	// small enough for CI, large enough that every scenario's byte
-	// stream extends past the fault horizon of the named profiles).
+	// small enough for CI, large enough that every fault fires within a
+	// scenario's table stream, ahead of the phase's markers).
 	TableSize int
-	// Timeout bounds the whole run (default 60s).
+	// Timeout bounds each phase's wait (default 60s).
 	Timeout time.Duration
 	// Peers adds this many receive-only peer sessions (AS 65100+i) that
 	// watch the run and whose Adj-RIB-Out digests land in AdjOutDigests.
@@ -84,7 +84,7 @@ type ConformanceResult struct {
 	// netem.Injector.ScheduleDigest); replay determinism means equal
 	// seeds produce equal schedule digests.
 	ScheduleDigest string `json:"schedule_digest"`
-	// RIBLen is the settled Loc-RIB size.
+	// RIBLen is the settled Loc-RIB size, end-of-phase markers excluded.
 	RIBLen int `json:"rib_len"`
 	// Transactions and Retries report how much work the run took; faulted
 	// runs inflate both, but the digests must not move.
@@ -117,15 +117,9 @@ func sortedKeys(m map[string]string) []string {
 }
 
 // RunConformance executes one scenario against a live router with the
-// speakers' transports wrapped in the named fault profile, waits for
-// convergence, and returns the router's state digests.
-//
-// Convergence detection is quiescence-based, not transaction-counting:
-// faulted runs replay journals after flaps, so the total transaction
-// count is not knowable up front. A phase is settled when the expected
-// sessions are established, the phase's state predicate holds, and the
-// router's transaction/FIB counters plus the speakers' retry counters
-// have been still for an idle window.
+// speakers' transports wrapped in the named fault profile, settles every
+// phase on its markers (see runPhases), and returns the router's state
+// digests.
 func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, error) {
 	cfg.defaults()
 	out := ConformanceResult{Scenario: scn, Profile: cfg.Profile, AFI: cfg.AFI}
@@ -161,56 +155,17 @@ func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, err
 	router := tb.router
 	out.Shards = router.Shards()
 
-	//bgplint:allow(detclock) reason=wall-clock deadline over a real TCP transport; digests never depend on it
-	start := time.Now()
-	deadline := start.Add(cfg.Timeout)
-
-	// settle blocks until check() holds and the run has been quiet for
-	// an idle window: no transactions, no FIB changes, no reconnects,
-	// and every speaker's session established.
-	settle := func(phase string, check func() bool) error {
-		const idle = 250 * time.Millisecond
-		var last [3]uint64
-		//bgplint:allow(detclock) reason=settle polling measures real elapsed quiet time, not modeled time
-		stableSince := time.Now()
-		for {
-			cur := [3]uint64{router.Transactions(), router.FIBChanges(), tb.retries()}
-			ok := tb.established() && check()
-			if cur != last || !ok {
-				last = cur
-				stableSince = time.Now() //bgplint:allow(detclock) reason=settle polling over a real TCP transport
-			} else if time.Since(stableSince) >= idle { //bgplint:allow(detclock) reason=settle polling over a real TCP transport
-				return nil
-			}
-			//bgplint:allow(detclock) reason=timeout guard against a hung run; never part of the digest
-			if time.Now().After(deadline) {
-				return fmt.Errorf("conformance %s [%s/%s]: %s did not settle after %v (tx=%d retries=%d faults=%+v)",
-					scn, cfg.Profile, shardLabel(out.Shards), phase, cfg.Timeout,
-					router.Transactions(), tb.retries(), inj.Stats())
-			}
-			time.Sleep(2 * time.Millisecond) //bgplint:allow(detclock) reason=polling backoff, not modeled time
-		}
+	start := time.Now() //bgplint:allow(detclock) reason=reported wall-clock duration; excluded from digests
+	if err := runPhases(scn, tb, table, cfg.Seed, cfg.Timeout, nil); err != nil {
+		return out, fmt.Errorf("conformance %s [%s/N=%d]: %w (faults=%+v)",
+			scn, cfg.Profile, out.Shards, err, inj.Stats())
 	}
-
-	// The wait primitive: every phase settles on the Loc-RIB size it
-	// must leave behind.
-	err = runPhases(scn, tb, table, cfg.Seed, cfg.Timeout, func(phase string, _ bool, send func() error, _ uint64, ribLen int) error {
-		if err := send(); err != nil {
-			return err
-		}
-		return settle(phase, func() bool { return router.RIBLen() == ribLen })
-	})
-	if err != nil {
-		return out, err
-	}
-
 	out.Duration = time.Since(start) //bgplint:allow(detclock) reason=reported wall-clock duration; excluded from digests
-	out.RIBLen = router.RIBLen()
 	out.Transactions = router.Transactions()
 	out.Retries = tb.retries()
 	out.Faults = inj.Stats()
 	out.ScheduleDigest = inj.ScheduleDigest()
-	out.LocRIBDigest = digestLocRIB(router.DumpLocRIB())
+	out.LocRIBDigest, out.RIBLen = digestLocRIB(router.DumpLocRIB())
 	out.AdjOutDigests = make(map[string]string)
 	for _, id := range router.PeerIDs() {
 		out.AdjOutDigests[id.String()] = digestAdjOut(router.DumpAdjOut(id))
@@ -218,8 +173,6 @@ func RunConformance(scn Scenario, cfg ConformanceConfig) (ConformanceResult, err
 	out.FIBDigest = digestFIB(router)
 	return out, nil
 }
-
-func shardLabel(n int) string { return fmt.Sprintf("N=%d", n) }
 
 // receiverAS numbers the receive-only conformance peers from 65100.
 func receiverAS(i int) uint32 { return uint32(65100 + i) }
@@ -257,21 +210,30 @@ func receiverPolicy(g int) *policy.RouteMap {
 
 // digestLocRIB hashes a Loc-RIB snapshot: prefix, contributing peer, and
 // the canonical wire encoding of the selected attributes, in the sorted
-// prefix order DumpLocRIB guarantees.
-func digestLocRIB(routes []core.LocRoute) string {
+// prefix order DumpLocRIB guarantees. It also returns how many routes it
+// hashed: every route but the markers.
+func digestLocRIB(routes []core.LocRoute) (string, int) {
 	h := sha256.New()
+	n := 0
 	for _, r := range routes {
+		if isMarker(r.Prefix) {
+			continue
+		}
+		n++
 		fmt.Fprintf(h, "%s %s ", r.Prefix, r.Peer)
 		h.Write(wire.MarshalAttrs(*r.Attrs))
 		h.Write([]byte{'\n'})
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), n
 }
 
-// digestAdjOut hashes one peer's Adj-RIB-Out snapshot.
+// digestAdjOut hashes one peer's Adj-RIB-Out snapshot, markers skipped.
 func digestAdjOut(routes []core.AdjRoute) string {
 	h := sha256.New()
 	for _, r := range routes {
+		if isMarker(r.Prefix) {
+			continue
+		}
 		fmt.Fprintf(h, "%s ", r.Prefix)
 		h.Write(wire.MarshalAttrs(*r.Attrs))
 		h.Write([]byte{'\n'})
@@ -280,7 +242,7 @@ func digestAdjOut(routes []core.AdjRoute) string {
 }
 
 // digestFIB hashes the forwarding table sorted by prefix (the engine's
-// walk order is implementation-defined).
+// walk order is implementation-defined), markers skipped.
 func digestFIB(router *core.Router) string {
 	type row struct {
 		p netaddr.Prefix
@@ -288,7 +250,9 @@ func digestFIB(router *core.Router) string {
 	}
 	var rows []row
 	router.FIB().Walk(func(p netaddr.Prefix, e fib.Entry) bool {
-		rows = append(rows, row{p, e})
+		if !isMarker(p) {
+			rows = append(rows, row{p, e})
+		}
 		return true
 	})
 	sort.Slice(rows, func(i, j int) bool { return rows[i].p.Compare(rows[j].p) < 0 })

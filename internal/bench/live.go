@@ -155,56 +155,33 @@ func RunLive(scn Scenario, cfg LiveConfig) (LiveResult, error) {
 	// The generated table (built above) shares one AS path so that
 	// large-packet runs actually pack 500 prefixes per UPDATE (the
 	// paper's large packets carry one attribute block for 500 NLRI
-	// entries).
-	n := uint64(len(table))
-
-	// The wait primitive: poll the transaction counter up to the target.
-	waitTx := func(target uint64) error {
-		deadline := time.Now().Add(cfg.Timeout)
-		for router.Transactions() < target {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("live %s: %d/%d transactions after %v",
-					scn, router.Transactions(), target, cfg.Timeout)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		return nil
-	}
-
-	// The timed phase additionally runs under the optional cross-load.
+	// entries). The timed phase runs from its first UPDATE to its
+	// settled markers, under the optional cross-load.
 	var fibBefore uint64
-	err = runPhases(scn, tb, table, cfg.Seed, cfg.Timeout, func(_ string, timed bool, send func() error, tx uint64, _ int) error {
-		if !timed {
-			if err := send(); err != nil {
-				return err
-			}
-			return waitTx(tx)
-		}
+	err = runPhases(scn, tb, table, cfg.Seed, cfg.Timeout, func(run func() error) error {
 		fibBefore = router.FIBChanges()
 		stopCross, fwdRate := startCross(router, cfg)
 		defer stopCross()
 		start := time.Now()
-		if err := send(); err != nil {
-			return err
-		}
-		if err := waitTx(tx); err != nil {
+		if err := run(); err != nil {
 			return err
 		}
 		out.Duration = time.Since(start)
 		stopCross()
 		out.FwdPacketsPerSec = fwdRate()
-		out.Prefixes = int(n)
-		out.TPS = float64(n) / out.Duration.Seconds()
+		out.Prefixes = len(table)
+		out.TPS = float64(len(table)) / out.Duration.Seconds()
 		return nil
 	})
 	if err != nil {
-		return out, err
+		return out, fmt.Errorf("live %s: %w", scn, err)
 	}
 	// Session flaps legitimately churn the forwarding table (withdraw
 	// on down, re-add on replay), so the no-change invariant only
-	// holds on clean transports.
-	if !faulty && scn.Op == OpIncrementalNoChange && router.FIBChanges() != fibBefore {
-		return out, fmt.Errorf("live %s: forwarding table changed (%d -> %d) in a no-change scenario",
+	// holds on clean transports. The phase's markers, one per shard, are
+	// its only inserts.
+	if !faulty && scn.Op == OpIncrementalNoChange && router.FIBChanges() != fibBefore+uint64(out.Shards) {
+		return out, fmt.Errorf("live %s: forwarding table changed (%d -> %d, markers included) in a no-change scenario",
 			scn, fibBefore, router.FIBChanges())
 	}
 	out.FIBChanges = router.FIBChanges()

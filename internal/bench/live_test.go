@@ -37,6 +37,26 @@ func TestRunLiveAllScenarios(t *testing.T) {
 	}
 }
 
+// TestRunLiveUnderFaults: a live run over flapping transports replays
+// journals, so its transaction count overshoots the table; every phase
+// must still settle on its marker with the Loc-RIB size it must leave
+// behind (RunLive fails otherwise).
+func TestRunLiveUnderFaults(t *testing.T) {
+	cfg := liveCfg()
+	cfg.FaultProfile = "flap-reset"
+	scn, _ := ScenarioByNum(8)
+	res, err := RunLive(scn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retries == 0 || res.Faults.Resets == 0 {
+		t.Fatalf("no session flapped (retries=%d faults=%+v)", res.Retries, res.Faults)
+	}
+	if res.Prefixes != 2000 || res.TPS <= 0 {
+		t.Errorf("prefixes = %d, tps = %v", res.Prefixes, res.TPS)
+	}
+}
+
 func TestRunLiveWithCrossLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live benchmark takes seconds")
@@ -60,6 +80,9 @@ func TestRunLiveWithRateControlledCross(t *testing.T) {
 	}
 	cfg := liveCfg()
 	cfg.CrossPPS = 200000
+	// The source offers packets on 1 ms ticks; at 2000 prefixes the
+	// measured phase can end before the first one.
+	cfg.TableSize = 20000
 	scn, _ := ScenarioByNum(2)
 	res, err := RunLive(scn, cfg)
 	if err != nil {

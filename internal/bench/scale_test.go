@@ -110,7 +110,7 @@ func runScaleCell(t *testing.T, table []core.Route, shards int, grouped bool) (s
 		}
 	}
 
-	loc := digestLocRIB(router.DumpLocRIB())
+	loc, _ := digestLocRIB(router.DumpLocRIB())
 	adj := make(map[string]string, peers)
 	for i := 0; i < peers; i++ {
 		id := receiverID(i)

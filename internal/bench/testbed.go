@@ -8,7 +8,9 @@ import (
 	"bgpbench/internal/netaddr"
 	"bgpbench/internal/netem"
 	"bgpbench/internal/policy"
+	"bgpbench/internal/rib"
 	"bgpbench/internal/speaker"
+	"bgpbench/internal/wire"
 )
 
 // testbedConfig is what varies between the harnesses that stand the
@@ -28,6 +30,9 @@ type testbedConfig struct {
 	Inj       *netem.Injector
 	Reconnect bool
 }
+
+// Speakers 1 and 2 announce their BGP identifiers as next hops.
+var speaker1ID, speaker2ID = netaddr.MustParseAddr("1.1.1.1"), netaddr.MustParseAddr("2.2.2.2")
 
 // testbed is Fig. 1 running: the router under test over loopback TCP,
 // Speaker 1 connected, the receive-only peers connected, and Speaker 2
@@ -63,7 +68,7 @@ func startTestbed(cfg testbedConfig) (*testbed, error) {
 		return nil, err
 	}
 	tb := &testbed{cfg: cfg, router: router}
-	if tb.sp1, err = tb.connect(liveSpeaker1AS, netaddr.MustParseAddr("1.1.1.1"), "speaker1"); err != nil {
+	if tb.sp1, err = tb.connect(liveSpeaker1AS, speaker1ID, "speaker1"); err != nil {
 		tb.stop()
 		return nil, err
 	}
@@ -122,36 +127,73 @@ func (tb *testbed) retries() uint64 {
 	return n
 }
 
-// phaseStep runs one phase of a scenario for runPhases: it calls send
-// and returns once the router has absorbed what was sent. How that is
-// known is the harness's wait primitive — the live benchmark counts
-// transactions up to tx (cumulative over the run) and times the timed
-// phase; conformance, whose faulted runs replay journals and so cannot
-// know the count up front, settles on the Loc-RIB reaching ribLen.
-type phaseStep func(phase string, timed bool, send func() error, tx uint64, ribLen int) error
+// markerBlock holds the end-of-phase markers. GenerateTable never draws
+// from it (IPv4 tables stay below 224/8, IPv6 in 2000::/3), and the
+// digests skip it.
+var markerBlock = netaddr.MustParsePrefix("240.0.0.0/8")
+
+func isMarker(p netaddr.Prefix) bool { return markerBlock.Contains(p.Addr()) }
+
+// markerSet is Phase k's markers, announced with path: one /32 in
+// 240.k.0.0/16 per decision shard, since a shard holding its marker has
+// processed what the session sent it before (DESIGN §6).
+func markerSet(k, shards int, path wire.ASPath) []core.Route {
+	set := make([]core.Route, shards)
+	for i, left := uint32(0), shards; left > 0; i++ {
+		p := netaddr.PrefixFrom(netaddr.AddrFromV4(240<<24|uint32(k)<<16|i), 32)
+		if s := rib.ShardOf(p, shards); set[s].Prefix.Len() == 0 {
+			set[s], left = core.Route{Prefix: p, Path: path}, left-1
+		}
+	}
+	return set
+}
 
 // runPhases is the paper's three-phase method (Fig. 1) for all four
 // operations, written once: Phase 1 — Speaker 1 injects the table
 // (timed for start-up); Phase 3 for ending — Speaker 1 withdraws it;
 // for the incremental operations Phase 2 — Speaker 2 connects and is
-// sent the whole table within timeout — then Phase 3 — Speaker 2
-// re-announces it with longer (no change) or shorter (change) paths.
-func runPhases(scn Scenario, tb *testbed, table []core.Route, seed int64, timeout time.Duration, step phaseStep) error {
-	n := uint64(len(table))
-	per := scn.PrefixesPerMsg
+// sent the whole Loc-RIB within timeout — then Phase 3 — Speaker 2
+// re-announces the table with longer (no change) or shorter (change)
+// paths. timed, when non-nil, wraps the phase the scenario measures.
+//
+// Phases 1 and 3 end on markers, the one settle rule of every harness:
+// the sender announces the phase's marker set after the phase's stream,
+// so its journal holds the markers last and a replay re-sends them last.
+func runPhases(scn Scenario, tb *testbed, table []core.Route, seed int64, timeout time.Duration, timed func(run func() error) error) error {
+	per, shards := scn.PrefixesPerMsg, tb.router.Shards()
+	markers := 0
+	// phase sends Phase num's stream from sp (AS as, next hop id), then
+	// its marker set, and settles on a Loc-RIB of want table routes.
+	phase := func(num int, measured bool, sp *speaker.Speaker, as uint32, id netaddr.Addr, want int, send func() error) error {
+		set := markerSet(num, shards, wire.NewASPath(as))
+		markers += len(set)
+		run := func() error {
+			if err := send(); err != nil {
+				return err
+			}
+			if err := sp.Announce(set, len(set)); err != nil {
+				return err
+			}
+			return tb.settle(set, id, want+markers, timeout)
+		}
+		if measured && timed != nil {
+			return timed(run)
+		}
+		return run()
+	}
 	inject := func() error { return tb.sp1.Announce(table, per) }
-	if err := step("phase1-inject", scn.Op == OpStartUp, inject, n, len(table)); err != nil {
+	if err := phase(1, scn.Op == OpStartUp, tb.sp1, liveSpeaker1AS, speaker1ID, len(table), inject); err != nil {
 		return err
 	}
 	switch scn.Op {
 	case OpEnding:
-		return step("phase3-withdraw", true, func() error { return tb.sp1.Withdraw(table, per) }, 2*n, 0)
+		return phase(3, true, tb.sp1, liveSpeaker1AS, speaker1ID, 0, func() error { return tb.sp1.Withdraw(table, per) })
 	case OpIncrementalNoChange, OpIncrementalChange:
-		sp2, err := tb.connect(liveSpeaker2AS, netaddr.MustParseAddr("2.2.2.2"), "speaker2")
+		sp2, err := tb.connect(liveSpeaker2AS, speaker2ID, "speaker2")
 		if err != nil {
 			return err
 		}
-		if err := sp2.WaitForPrefixes(n, timeout); err != nil {
+		if err := sp2.WaitForPrefixes(uint64(len(table)+markers), timeout); err != nil {
 			return err
 		}
 		variant := make([]core.Route, len(table))
@@ -162,7 +204,36 @@ func runPhases(scn Scenario, tb *testbed, table []core.Route, seed int64, timeou
 				variant[i] = core.Shorten(r, liveSpeaker2AS)
 			}
 		}
-		return step("phase3-incremental", true, func() error { return sp2.Announce(variant, per) }, 2*n, len(table))
+		return phase(3, true, sp2, liveSpeaker2AS, speaker2ID, len(table), func() error { return sp2.Announce(variant, per) })
+	}
+	return nil
+}
+
+// settle waits until the router's FIB holds every marker of set with
+// next hop id (the phase's sender) and every speaker's session is up;
+// the Loc-RIB must then hold wantRIB routes, markers included. It needs
+// every fault to fire before the markers (each faulted attempt's stream
+// runs past the profile's horizon first), so markers only ever arrive
+// on a session that stays up.
+func (tb *testbed) settle(set []core.Route, id netaddr.Addr, wantRIB int, timeout time.Duration) error {
+	settled := func() bool {
+		for _, m := range set {
+			if e, ok := tb.router.FIB().LookupExact(m.Prefix); !ok || e.NextHop != id {
+				return false
+			}
+		}
+		return tb.established()
+	}
+	hang := time.After(timeout) //bgplint:allow(detclock) reason=hang deadline over a real TCP transport; no settle decision depends on it
+	for !settled() {
+		select {
+		case <-hang:
+			return fmt.Errorf("markers of %s not installed after %v (tx=%d retries=%d)", set[0].Prefix, timeout, tb.router.Transactions(), tb.retries())
+		case <-time.After(100 * time.Microsecond): //bgplint:allow(detclock) reason=poll backoff while the markers are in flight, not modeled time
+		}
+	}
+	if got := tb.router.RIBLen(); got != wantRIB {
+		return fmt.Errorf("Loc-RIB holds %d routes at the markers of %s, want %d", got, set[0].Prefix, wantRIB)
 	}
 	return nil
 }

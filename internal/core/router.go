@@ -69,8 +69,8 @@ type Config struct {
 	// FIBEngine selects the lookup structure ("patricia" default;
 	// "poptrie" additionally gets the lock-free snapshot read path).
 	FIBEngine string
-	// ExportBatch caps prefixes per UPDATE during initial table transfer
-	// to a new peer (Phase 2 of the benchmark). Default 500.
+	// ExportBatch caps prefixes per UPDATE on every emitted run: a new
+	// peer's initial table transfer and later changes alike. Default 500.
 	ExportBatch int
 	// Damping enables route-flap damping (RFC 2439) with the given
 	// parameters; nil disables it. Suppressed routes are removed from the

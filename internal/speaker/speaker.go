@@ -41,20 +41,23 @@ type Config struct {
 	// so a speaker that flaps mid-table still converges to the state a
 	// clean run reaches.
 	Reconnect bool
-	// MaxReconnects bounds reconnection attempts (default 8).
-	MaxReconnects int
 }
+
+// maxReconnects bounds a reconnecting speaker's attempts.
+const maxReconnects = 8
 
 // Speaker is one benchmark BGP speaker.
 type Speaker struct {
 	cfg Config
 
-	// mu guards sess/journal/closed and serializes sends with journal
-	// replay, so replayed and fresh UPDATEs never interleave per prefix.
+	// mu guards sess/journal/closed/replaying and serializes sends with
+	// journal replay, so replayed and fresh UPDATEs never interleave.
 	mu      sync.Mutex
 	sess    *session.Session
 	journal []wire.Update
 	closed  bool
+	// replaying: sess awaits the journal, so fresh UPDATEs join it only.
+	replaying bool
 
 	stopCh      chan struct{}
 	established chan struct{}
@@ -64,7 +67,6 @@ type Speaker struct {
 	prefixesIn  atomic.Uint64
 	withdrawsIn atomic.Uint64
 	updatesIn   atomic.Uint64
-	lastRecv    atomic.Int64 // unix nanos of last received update
 }
 
 // New builds a speaker; Connect starts it.
@@ -81,9 +83,6 @@ func New(cfg Config) *Speaker {
 	}
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("speaker-as%d", cfg.AS)
-	}
-	if cfg.MaxReconnects == 0 {
-		cfg.MaxReconnects = 8
 	}
 	s := &Speaker{
 		cfg:         cfg,
@@ -127,7 +126,6 @@ func (h *speakerHandler) Update(_ *session.Session, u wire.Update) {
 	s.updatesIn.Add(1)
 	s.prefixesIn.Add(uint64(len(u.NLRI)))
 	s.withdrawsIn.Add(uint64(len(u.Withdrawn)))
-	s.lastRecv.Store(time.Now().UnixNano())
 }
 
 // Down implements session.Handler. It runs on the session's event-loop
@@ -146,7 +144,7 @@ func (h *speakerHandler) Down(sess *session.Session, err error) {
 // reconnect replaces the dead session and replays the journal. The
 // session layer itself retries TCP connects, so one fresh session per
 // flap suffices; if the replacement flaps too, its Down handler calls
-// back in here until MaxReconnects is exhausted.
+// back in here until maxReconnects is exhausted.
 func (s *Speaker) reconnect(dead *session.Session) {
 	s.mu.Lock()
 	current := s.sess == dead && !s.closed
@@ -154,7 +152,7 @@ func (s *Speaker) reconnect(dead *session.Session) {
 	if !current {
 		return
 	}
-	if int(s.retries.Add(1)) > s.cfg.MaxReconnects {
+	if s.retries.Add(1) > maxReconnects {
 		return
 	}
 	select {
@@ -181,6 +179,7 @@ func (s *Speaker) reconnect(dead *session.Session) {
 		return
 	}
 	s.sess = ns
+	s.replaying = true
 	s.mu.Unlock()
 	ns.Start()
 	select {
@@ -192,9 +191,9 @@ func (s *Speaker) reconnect(dead *session.Session) {
 		ns.Stop()
 		return
 	}
-	// Replay the full journal under the send lock: fresh Announce or
-	// Withdraw calls queue behind the replay, preserving per-prefix
-	// message order.
+	// Replay the full journal under the send lock. Fresh Announce or
+	// Withdraw calls made since the swap are in the journal too, so
+	// per-prefix message order is preserved.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sess != ns || s.closed {
@@ -207,6 +206,7 @@ func (s *Speaker) reconnect(dead *session.Session) {
 			return
 		}
 	}
+	s.replaying = false
 }
 
 // Connect starts the session and blocks until it establishes or the
@@ -260,6 +260,9 @@ func (s *Speaker) sendAll(msgs []wire.Update) error {
 	defer s.mu.Unlock()
 	if s.cfg.Reconnect {
 		s.journal = append(s.journal, msgs...)
+		if s.replaying {
+			return nil
+		}
 	}
 	for _, u := range msgs {
 		if err := s.sess.Send(u); err != nil {
@@ -323,41 +326,20 @@ func (s *Speaker) UpdatesReceived() uint64 { return s.updatesIn.Load() }
 // It is the Phase 2 convergence detector: "the router transfers its route
 // information to Speaker 2".
 func (s *Speaker) WaitForPrefixes(n uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for s.prefixesIn.Load() < n {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("speaker %s: %d/%d prefixes after %v",
-				s.cfg.Name, s.prefixesIn.Load(), n, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
+	return s.waitCount(&s.prefixesIn, "prefixes", n, timeout)
 }
 
 // WaitForWithdrawals blocks until at least n withdrawn prefixes arrived.
 func (s *Speaker) WaitForWithdrawals(n uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for s.withdrawsIn.Load() < n {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("speaker %s: %d/%d withdrawals after %v",
-				s.cfg.Name, s.withdrawsIn.Load(), n, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
+	return s.waitCount(&s.withdrawsIn, "withdrawals", n, timeout)
 }
 
-// WaitQuiescent blocks until no update has arrived for the given idle
-// window (or the timeout elapses), returning whether quiescence was
-// reached. Used when the expected message count is not known exactly.
-func (s *Speaker) WaitQuiescent(idle, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		last := s.lastRecv.Load()
-		if last != 0 && time.Since(time.Unix(0, last)) >= idle {
-			return true
+// waitCount polls c until it reaches n, failing after timeout.
+func (s *Speaker) waitCount(c *atomic.Uint64, what string, n uint64, timeout time.Duration) error {
+	for deadline := time.Now().Add(timeout); c.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("speaker %s: %d/%d %s after %v", s.cfg.Name, c.Load(), n, what, timeout)
 		}
-		time.Sleep(idle / 4)
 	}
-	return false
+	return nil
 }

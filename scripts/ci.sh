@@ -54,15 +54,19 @@ step_conformance() {
 # Peer-lifecycle stress: the bounced-peer model test, the two leak tests
 # (bounces with MRAI on, both group keyings; connections that come and
 # go), the group join/leave tests, a stalled receiver and the goroutines
-# a peer costs, and the session layer's reconnect and stalled-peer
-# tests, twenty times each on one and on two scheduler threads. Flap
-# handling that passes once proves nothing.
+# a peer costs, the session layer's reconnect and stalled-peer tests,
+# and the faulted conformance gates plus the phase settle under a
+# sender stall (a settle that fires early shows up as digest drift),
+# twenty times each on one and on two scheduler threads. Flap handling
+# that passes once proves nothing.
 step_stress() {
 	for procs in 1 2; do
 		GOMAXPROCS=$procs $GO test -count=20 \
 			-run 'TestPeerLifecycleInterleavings|TestPeerUpOvertakenBySuccessor|TestMRAIFlusherDoesNotLeakAcrossBounces|TestRouterForgetsFinishedSessions|TestGroupSecondMemberSeesSoleMembersRoutes|TestGroupJoinMidStream|TestStalledReceiverDoesNotBlockPropagation|TestRouterPeerGoroutines' ./internal/core/
 		GOMAXPROCS=$procs $GO test -count=20 \
 			-run 'TestMidOpenConnFailure|TestNetemResetTearsDownCleanly|TestConnectRetryBackoffUnderResets|TestStalledPeerCannotWedgeSession' ./internal/session/
+		GOMAXPROCS=$procs $GO test -count=20 \
+			-run 'TestConformanceGate|TestConformanceManyPeerGate|TestConformanceReplayDeterminism|TestSettleOutlastsSenderStall' ./internal/bench/
 	done
 }
 
