@@ -121,8 +121,8 @@ func (r *Router) applyToTable(si int, s *shard, g *updateGroup, ch rib.Change) {
 		return
 	}
 	it := groupEmitItem{prefix: ch.Prefix}
-	if ch.New != nil && sh.visible(ch.New.Peer.Addr) {
-		if attrs, ok := r.exportRoute(si, g, ch.Prefix, *ch.New); ok {
+	if ch.New.Attrs != nil && sh.visible(ch.New.Peer.Addr) {
+		if attrs, ok := r.exportRoute(si, g, ch.Prefix, ch.New); ok {
 			it.new = advert{attrs: attrs, origin: ch.New.Peer.Addr}
 		}
 	}
@@ -135,7 +135,7 @@ func (r *Router) applyToTable(si int, s *shard, g *updateGroup, ch rib.Change) {
 	// An entry is the export of the Loc-RIB best, so the one this
 	// transition replaces was learned from ch.Old's peer. The same bytes
 	// from another originator still change two members' views.
-	if it.old.attrs != nil && ch.Old != nil {
+	if it.old.attrs != nil && ch.Old.Attrs != nil {
 		it.old.origin = ch.Old.Peer.Addr
 		changed = changed || it.old.origin != it.new.origin
 	}

@@ -1088,7 +1088,7 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 	shardRIB := r.rib.Shard(si)
 
 	for _, p := range u.Withdrawn {
-		had := peerHasRoute(shardRIB, ps.info.Addr, p)
+		_, had := shardRIB.CandidateOf(ps.info.Addr, p)
 		if r.damper != nil && had {
 			r.damper.Flap(ps.info.Addr, p)
 		}
@@ -1133,7 +1133,7 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 			*tx++
 			continue
 		}
-		had := peerHasRoute(shardRIB, ps.info.Addr, p)
+		_, had := shardRIB.CandidateOf(ps.info.Addr, p)
 		if ch, ok := shardRIB.Announce(ps.info.Addr, p, attrs); ok {
 			r.applyChange(si, ch, ops, s)
 		}
@@ -1156,29 +1156,13 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 	}
 }
 
-// peerHasRoute reports whether the peer currently contributes a candidate
-// for the prefix in the given RIB shard.
-func peerHasRoute(shardRIB *rib.RIB, peer netaddr.Addr, p netaddr.Prefix) bool {
-	for _, c := range shardRIB.Candidates(p) {
-		if c.Peer.Addr == peer {
-			return true
-		}
-	}
-	return false
-}
-
 // dampAnnounce applies flap accounting to an announcement: a
 // re-announcement with changed attributes counts as a flap (RFC 2439
 // attribute-change event). It reports whether the route is suppressed.
 // Attrs are interned, so the attribute-change check is a pointer compare.
 func (r *Router) dampAnnounce(shardRIB *rib.RIB, peer netaddr.Addr, p netaddr.Prefix, attrs *wire.PathAttrs) bool {
-	for _, c := range shardRIB.Candidates(p) {
-		if c.Peer.Addr == peer {
-			if c.Attrs != attrs && !c.Attrs.Equal(*attrs) {
-				return r.damper.Flap(peer, p)
-			}
-			return r.damper.Suppressed(peer, p)
-		}
+	if c, ok := shardRIB.CandidateOf(peer, p); ok && c.Attrs != attrs && !c.Attrs.Equal(*attrs) {
+		return r.damper.Flap(peer, p)
 	}
 	return r.damper.Suppressed(peer, p)
 }
@@ -1199,12 +1183,12 @@ func (r *Router) commitFIB(ops *[]fib.Op) {
 // scratch.
 func (r *Router) applyChange(si int, ch rib.Change, ops *[]fib.Op, s *shard) {
 	// Forwarding table: batch the op; the caller commits per batch.
-	if ch.New != nil {
-		if ch.Old == nil || ch.Old.Attrs.NextHop != ch.New.Attrs.NextHop {
+	if ch.New.Attrs != nil {
+		if ch.Old.Attrs == nil || ch.Old.Attrs.NextHop != ch.New.Attrs.NextHop {
 			entry := fib.Entry{NextHop: ch.New.Attrs.NextHop, Port: int(ch.New.Peer.AS) % 16}
 			*ops = append(*ops, fib.Op{Prefix: ch.Prefix, Entry: entry})
 		}
-	} else if ch.Old != nil {
+	} else if ch.Old.Attrs != nil {
 		*ops = append(*ops, fib.Op{Prefix: ch.Prefix, Delete: true})
 	}
 

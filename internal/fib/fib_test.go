@@ -294,4 +294,189 @@ func TestPatriciaCompression(t *testing.T) {
 	if p.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", p.Len())
 	}
+	checkPatricia(t, p)
+
+	// Delete-heavy churn over a clustered space: split points are created
+	// and spliced out over and over, and every insert after the first
+	// deletes takes a freed index. The trie must keep answering like the
+	// linear reference and keep its shape.
+	rng := rand.New(rand.NewSource(26))
+	ref := NewLinear()
+	var live []netaddr.Prefix
+	for op := 0; op < 20000; op++ {
+		// Grow to a few hundred routes, then delete three times in five.
+		if dels := 2 + 2*min(len(live)/300, 1); len(live) > 0 && rng.Intn(6) < dels {
+			k := rng.Intn(len(live))
+			q := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if got, want := p.Delete(q), ref.Delete(q); got != want {
+				t.Fatalf("op %d: Delete(%v) = %v, want %v", op, q, got, want)
+			}
+			continue
+		}
+		q := netaddr.PrefixFrom(netaddr.AddrFromV4(0x0A000000|rng.Uint32()&0x00FF0F00), 8+rng.Intn(25))
+		if rng.Intn(4) == 0 {
+			q = netaddr.PrefixFrom(netaddr.AddrFrom128(0x20010db800000000|uint64(rng.Uint32()&0xFF0F)<<16, 0), 32+rng.Intn(33))
+		}
+		e := Entry{NextHop: netaddr.AddrFromV4(uint32(rng.Intn(4))), Port: rng.Intn(3)}
+		if _, ok := ref.LookupExact(q); !ok {
+			live = append(live, q)
+		}
+		p.Insert(q, e)
+		ref.Insert(q, e)
+		if op%1000 == 0 {
+			checkPatricia(t, p)
+		}
+	}
+	checkPatricia(t, p)
+	if p.Len() != ref.Len() {
+		t.Fatalf("Len = %d, want %d", p.Len(), ref.Len())
+	}
+	ref.Walk(func(q netaddr.Prefix, want Entry) bool {
+		for _, a := range []netaddr.Addr{q.Addr(), q.Host(^uint64(0)), addrInc(q.Host(^uint64(0)))} {
+			got, ok := p.Lookup(a)
+			if w, wok := ref.Lookup(a); got != w || ok != wok {
+				t.Fatalf("Lookup(%v) = %+v/%v, want %+v/%v", a, got, ok, w, wok)
+			}
+		}
+		return true
+	})
+}
+
+// checkPatricia verifies the trie's shape: every node below a root either
+// carries a route or splits two children, nodes reachable from the roots
+// and nodes on the free list together account for every index handed
+// out, and every hop is inside the next-hop table.
+func checkPatricia(t *testing.T, p *Patricia) {
+	t.Helper()
+	reachable, routes := 0, 0
+	var visit func(i uint32, root bool)
+	visit = func(i uint32, root bool) {
+		if i == 0 {
+			return
+		}
+		n := p.node(i)
+		reachable++
+		if n.hop != 0 {
+			routes++
+			if int(n.hop) > len(p.hops) {
+				t.Fatalf("%v: hop %d outside a %d-entry table", n.prefix, n.hop, len(p.hops))
+			}
+		} else if !root && (n.child[0] == 0 || n.child[1] == 0) {
+			t.Fatalf("%v: structural node with children %v", n.prefix, n.child)
+		}
+		visit(n.child[0], false)
+		visit(n.child[1], false)
+	}
+	for _, r := range p.roots {
+		visit(r, true)
+	}
+	free := 0
+	for i := p.free; i != 0; i = p.node(i).child[0] {
+		free++
+	}
+	if routes != p.Len() {
+		t.Fatalf("%d nodes carry routes, Len = %d", routes, p.Len())
+	}
+	if reachable+free != int(p.used)-1 {
+		t.Fatalf("%d reachable + %d free nodes, %d handed out", reachable, free, p.used-1)
+	}
+}
+
+// patriciaTable is n distinct clustered IPv4 prefixes with entries drawn
+// from a handful of next hops, as a router's FIB has.
+func patriciaTable(n int) []Op {
+	rng := rand.New(rand.NewSource(int64(n)))
+	seen := make(map[netaddr.Prefix]bool, n)
+	ops := make([]Op, 0, n)
+	for len(ops) < n {
+		q := netaddr.PrefixFrom(netaddr.AddrFromV4(rng.Uint32()), 16+rng.Intn(9))
+		if seen[q] {
+			continue
+		}
+		seen[q] = true
+		ops = append(ops, Op{Prefix: q, Entry: Entry{NextHop: netaddr.AddrFromV4(uint32(1 + rng.Intn(4))), Port: rng.Intn(16)}})
+	}
+	return ops
+}
+
+// TestPatriciaReusesFreedNodes: insert-all, delete-all, insert-all of a
+// 20k table hands out no new page, because the second fill takes every
+// node from the free list the delete-all filled.
+func TestPatriciaReusesFreedNodes(t *testing.T) {
+	p := NewPatricia()
+	ops := patriciaTable(20000)
+	dels := make([]Op, len(ops))
+	for i, op := range ops {
+		dels[i] = Op{Prefix: op.Prefix, Delete: true}
+	}
+	p.Apply(ops)
+	pages, used := len(p.pages), p.used
+	p.Apply(dels)
+	if p.Len() != 0 {
+		t.Fatalf("Len after delete-all = %d", p.Len())
+	}
+	checkPatricia(t, p)
+	p.Apply(ops)
+	checkPatricia(t, p)
+	if len(p.pages) != pages || p.used != used {
+		t.Fatalf("refill grew the trie from %d pages (%d nodes) to %d (%d)", pages, used, len(p.pages), p.used)
+	}
+}
+
+// TestPatriciaNextHopCompaction: entries no node forwards with any more
+// are swept from the next-hop table, and the renumbered hops still
+// resolve to the right entries.
+func TestPatriciaNextHopCompaction(t *testing.T) {
+	p := NewPatricia()
+	ref := NewLinear()
+	ops := patriciaTable(4000)
+	for round := 0; round < 5; round++ {
+		for i := range ops {
+			// A distinct entry per route per round: without the sweep the
+			// table would hold every entry ever installed.
+			ops[i].Entry = Entry{NextHop: netaddr.AddrFromV4(uint32(round<<16 | i)), Port: round}
+			if (i+round)%3 == 0 {
+				ops[i].Delete = !ops[i].Delete
+			}
+		}
+		p.Apply(ops)
+		ref.Apply(ops)
+		checkPatricia(t, p)
+	}
+	if bound := 2*p.Len() + int(p.used) + minHopLimit; len(p.hops) > bound {
+		t.Fatalf("next-hop table holds %d entries for %d routes, bound %d", len(p.hops), p.Len(), bound)
+	}
+	p.compactHops()
+	if len(p.hops) > p.Len() {
+		t.Fatalf("after a sweep %d entries remain for %d routes", len(p.hops), p.Len())
+	}
+	ref.Walk(func(q netaddr.Prefix, want Entry) bool {
+		if got, ok := p.LookupExact(q); !ok || got != want {
+			t.Fatalf("LookupExact(%v) = %+v/%v, want %+v", q, got, ok, want)
+		}
+		return true
+	})
+}
+
+// TestPatriciaSteadyStateAllocs: on a warm trie, deleting and re-inserting
+// every route allocates nothing — nodes come from the free list and
+// entries from the next-hop table.
+func TestPatriciaSteadyStateAllocs(t *testing.T) {
+	p := NewPatricia()
+	ops := patriciaTable(20000)
+	dels := make([]Op, len(ops))
+	for i, op := range ops {
+		dels[i] = Op{Prefix: op.Prefix, Delete: true}
+	}
+	p.Apply(ops)
+	cycle := func() {
+		p.Apply(dels)
+		p.Apply(ops)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(5, cycle); got != 0 {
+		t.Fatalf("delete-all + insert-all allocated %v times per cycle, want 0", got)
+	}
 }

@@ -2,6 +2,7 @@ package fib
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"bgpbench/internal/netaddr"
@@ -86,6 +87,20 @@ func FuzzEngineOps(f *testing.F) {
 	// Mixed-family batch with same leading bytes in both families.
 	seed(rec(0, 0x20010db8, 24), rec(0x10, 0x20010db8, 24), rec(0x13, 0, 0),
 		rec(0x11, 0x20010db8, 24), rec(1, 0x20010db8, 24))
+
+	// Delete-heavy churn: sibling /24s force split points, deletes splice
+	// them out (and the covering /16 above them), and the inserts that
+	// follow reuse the freed indices; then the same churn batched.
+	churn := func(ins, del byte) []byte {
+		return slices.Concat(rec(ins, 0x0A000000, 24), rec(ins, 0x0A000100, 24), rec(ins, 0x0A000200, 24),
+			rec(ins, 0x0A000000, 16), rec(del, 0x0A000000, 24), rec(del, 0x0A000100, 24),
+			rec(ins, 0x0A000300, 24), rec(del, 0x0A000200, 24), rec(del, 0x0A000000, 16),
+			rec(ins, 0x0A008000, 17), rec(del, 0x0A000300, 24), rec(ins, 0x0A000000, 24),
+			rec(ins, 0x0A000100, 24), rec(del, 0x0A008000, 17), rec(del, 0x0A000000, 24))
+	}
+	seed(churn(0, 1))
+	seed(churn(9, 10), rec(3, 0, 0))
+	seed(churn(0x10, 0x11))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {

@@ -73,7 +73,9 @@ step_stress() {
 # Hot-path microbenchmark smoke, one iteration each so they compile and
 # run on every gate (real numbers need -benchtime well above 1x). The
 # 100k-prefix group rebuild is the large-table smoke: one full chunked
-# catch-up of a group table from the Loc-RIB.
+# catch-up of a group table from the Loc-RIB. The footprint benchmarks
+# print the Loc-RIB's and the FIB's B/prefix for the benchmark's table
+# shapes; one iteration is their whole measurement.
 step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
 		-benchtime=1x ./internal/core/
@@ -82,6 +84,19 @@ step_bench_smoke() {
 	BGPBENCH_LOOKUP_N=50000 $GO test -run='^$' \
 		-bench 'BenchmarkLookup$|BenchmarkLookupV6$|BenchmarkLookupChurn' \
 		-benchtime=1x ./internal/fib/
+	$GO test -run='^$' -bench 'BenchmarkLocRIBFootprint|BenchmarkPatriciaFootprint' \
+		-benchtime=1x ./internal/rib/ ./internal/fib/
+}
+
+# The examples that drive the router's tables end to end, each with its
+# existing flags and a short input: quickstart walks and looks up the FIB,
+# policylab filters and aggregates, lookupalgos times every FIB engine,
+# convergence times re-convergence per engine.
+step_examples() {
+	$GO run ./examples/quickstart
+	$GO run ./examples/policylab
+	$GO run ./examples/lookupalgos -n 20000 -lookups 200000
+	$GO run ./examples/convergence -n 2000
 }
 
 # The repository benchmark (benchmark/, BENCHMARK.json) must build and
@@ -97,7 +112,7 @@ step_test() {
 }
 
 if [ $# -eq 0 ]; then
-	set -- build fmt vet lint race conformance stress bench-smoke benchmark test
+	set -- build fmt vet lint race conformance stress bench-smoke examples benchmark test
 fi
 for step in "$@"; do
 	echo "== $step"
