@@ -56,8 +56,11 @@ func effectiveMED(a *wire.PathAttrs) uint32 {
 //  6. lower peer BGP identifier;
 //  7. lower peer address.
 //
-// The result is a strict weak order: Better(a,b) and Better(b,a) are never
-// both true, and candidates from distinct peers always order one way.
+// Better(a,b) and Better(b,a) are never both true, and candidates from
+// distinct peers always order one way. The relation is not transitive:
+// MED is compared only between routes from the same neighbour AS, so
+// three candidates can each beat another, and Best's answer then depends
+// on the order of its input.
 func Better(a, b Candidate) bool {
 	if la, lb := effectiveLocalPref(a.Attrs), effectiveLocalPref(b.Attrs); la != lb {
 		return la > lb
