@@ -275,8 +275,8 @@ type dispatchBatch struct {
 	updates []wire.Update
 }
 
-// next returns a cleared sub-update slot, reusing the slot's prefix
-// buffers from earlier round-trips.
+// next returns an empty sub-update slot, reusing the slot's prefix
+// buffers from earlier round-trips; its Attrs are the caller's to set.
 func (b *dispatchBatch) next() *wire.Update {
 	if len(b.updates) < cap(b.updates) {
 		b.updates = b.updates[:len(b.updates)+1]
@@ -286,7 +286,6 @@ func (b *dispatchBatch) next() *wire.Update {
 	u := &b.updates[len(b.updates)-1]
 	u.Withdrawn = u.Withdrawn[:0]
 	u.NLRI = u.NLRI[:0]
-	u.Attrs = wire.PathAttrs{}
 	return u
 }
 
@@ -632,18 +631,6 @@ func (r *Router) fanOut(kind workKind, ps *peerState) {
 func (r *Router) dispatchUpdateBatch(h *routerHandler, us []wire.Update) {
 	r.dispatchBatches.Add(1)
 	r.dispatchUpdates.Add(uint64(len(us)))
-	if r.nshards == 1 {
-		// The update structs must be copied out of the session-owned batch
-		// slice before the callback returns; their payload slices are
-		// single-use and safe to retain.
-		b := r.getBatch()
-		b.updates = append(b.updates[:0], us...)
-		//bgplint:allow(pooledbuf) reason=audited ownership transfer: the shard worker Puts the batch after processing; the failure branch Puts it here
-		if !r.send(0, workItem{kind: workUpdateBatch, peer: h.ps, batch: b}) {
-			r.putBatch(b)
-		}
-		return
-	}
 	if h.batches == nil {
 		h.batches = make([]*dispatchBatch, r.nshards)
 		h.cur = make([]*wire.Update, r.nshards)
@@ -984,6 +971,11 @@ func (r *Router) getBatch() *dispatchBatch {
 }
 
 func (r *Router) putBatch(b *dispatchBatch) {
+	// The slots keep their prefix buffers but not the session's attribute
+	// slices, which would keep the reader's chunks alive.
+	for i := range b.updates {
+		b.updates[i].Attrs = wire.PathAttrs{}
+	}
 	b.updates = b.updates[:0]
 	r.batchPool.Put(b)
 }

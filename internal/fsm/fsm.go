@@ -150,6 +150,8 @@ type FSM struct {
 	transitions       uint64
 	lastNotifSent     *wire.Notification
 	establishedEvents uint64
+
+	acts []Action // Handle's result, reused across calls
 }
 
 // New builds an FSM in the Idle state.
@@ -182,72 +184,79 @@ func (f *FSM) to(s State) {
 // Handle consumes one event and returns the actions the session layer must
 // execute, in order. Unexpected events in a state follow the RFC's rule:
 // send a NOTIFICATION (FSM error), drop the connection, return to Idle.
+// The returned slice is FSM-owned scratch, valid until the next call.
 func (f *FSM) Handle(ev Event) []Action {
+	clear(f.acts)
+	f.acts = f.acts[:0]
 	switch f.state {
 	case Idle:
-		return f.inIdle(ev)
+		f.inIdle(ev)
 	case Connect, Active:
-		return f.inConnect(ev)
+		f.inConnect(ev)
 	case OpenSent:
-		return f.inOpenSent(ev)
+		f.inOpenSent(ev)
 	case OpenConfirm:
-		return f.inOpenConfirm(ev)
+		f.inOpenConfirm(ev)
 	case Established:
-		return f.inEstablished(ev)
+		f.inEstablished(ev)
 	}
-	return nil
+	return f.acts
 }
 
-func (f *FSM) inIdle(ev Event) []Action {
-	switch ev.Type {
-	case EvManualStart:
-		if f.cfg.Passive {
-			f.to(Active)
-			return nil
-		}
-		f.to(Connect)
-		return []Action{{Type: ActConnect}, {Type: ActStartConnectRetry}}
-	default:
-		// All other events are ignored in Idle.
-		return nil
+// emit appends payload-free actions to the scratch Handle returns.
+func (f *FSM) emit(ts ...ActionType) {
+	for _, t := range ts {
+		f.acts = append(f.acts, Action{Type: t})
 	}
+}
+
+func (f *FSM) inIdle(ev Event) {
+	// All events but a start are ignored in Idle.
+	if ev.Type != EvManualStart {
+		return
+	}
+	if f.cfg.Passive {
+		f.to(Active)
+		return
+	}
+	f.to(Connect)
+	f.emit(ActConnect, ActStartConnectRetry)
 }
 
 // inConnect covers both Connect and Active: waiting for a transport.
-func (f *FSM) inConnect(ev Event) []Action {
+func (f *FSM) inConnect(ev Event) {
 	switch ev.Type {
 	case EvTCPConnEstablished:
 		f.to(OpenSent)
-		return []Action{
-			{Type: ActStopConnectRetry},
-			{Type: ActSendOpen},
-			{Type: ActStartHold}, // large initial hold until negotiated
-		}
+		// The hold timer starts large until negotiated.
+		f.emit(ActStopConnectRetry, ActSendOpen, ActStartHold)
 	case EvTCPConnFails:
 		f.to(Active)
-		return []Action{{Type: ActStartConnectRetry}}
+		f.emit(ActStartConnectRetry)
 	case EvConnectRetryExpires:
 		if f.cfg.Passive {
-			return nil
+			return
 		}
 		f.to(Connect)
-		return []Action{{Type: ActConnect}, {Type: ActStartConnectRetry}}
+		f.emit(ActConnect, ActStartConnectRetry)
 	case EvManualStop:
 		f.to(Idle)
-		return []Action{{Type: ActStopConnectRetry}, {Type: ActCloseConn}}
+		f.emit(ActStopConnectRetry, ActCloseConn)
 	default:
-		return f.fsmError(ev)
+		f.fsmError()
 	}
 }
 
-func (f *FSM) inOpenSent(ev Event) []Action {
+func (f *FSM) inOpenSent(ev Event) {
 	switch ev.Type {
 	case EvMsgOpen:
 		if ev.Open == nil {
-			return f.fsmError(ev)
+			f.fsmError()
+			return
 		}
 		if f.cfg.PeerAS != 0 && ev.Open.EffectiveAS() != f.cfg.PeerAS {
-			return f.notifyAndIdle(wire.ErrCodeOpen, wire.ErrSubBadPeerAS, nil)
+			f.notifyAndIdle(wire.ErrCodeOpen, wire.ErrSubBadPeerAS, nil)
+			return
 		}
 		f.peerOpen = *ev.Open
 		f.negotiatedHold = f.cfg.HoldTime
@@ -255,62 +264,62 @@ func (f *FSM) inOpenSent(ev Event) []Action {
 			f.negotiatedHold = ev.Open.HoldTime
 		}
 		f.to(OpenConfirm)
-		acts := []Action{{Type: ActSendKeepalive}}
+		f.emit(ActSendKeepalive)
 		if f.negotiatedHold > 0 {
-			acts = append(acts, Action{Type: ActStartHold}, Action{Type: ActStartKeepalive})
+			f.emit(ActStartHold, ActStartKeepalive)
 		} else {
-			acts = append(acts, Action{Type: ActStopHold}, Action{Type: ActStopKeepalive})
+			f.emit(ActStopHold, ActStopKeepalive)
 		}
-		return acts
 	case EvMsgError:
-		return f.notifyFromError(ev.Err)
+		f.notifyFromError(ev.Err)
 	case EvMsgNotification:
 		f.to(Idle)
-		return []Action{{Type: ActCloseConn}}
+		f.emit(ActCloseConn)
 	case EvTCPConnFails:
 		if f.cfg.Passive {
 			// As in OpenConfirm: an acceptor's session ends with its
 			// connection. Parked in Active it would wait forever for a
 			// transport nobody will hand it.
 			f.to(Idle)
-			return []Action{{Type: ActCloseConn}}
+			f.emit(ActCloseConn)
+			return
 		}
 		f.to(Active)
-		return []Action{{Type: ActStartConnectRetry}}
+		f.emit(ActStartConnectRetry)
 	case EvHoldTimerExpires:
-		return f.notifyAndIdle(wire.ErrCodeHoldTimer, 0, nil)
+		f.notifyAndIdle(wire.ErrCodeHoldTimer, 0, nil)
 	case EvManualStop:
-		return f.cease()
+		f.cease()
 	default:
-		return f.fsmError(ev)
+		f.fsmError()
 	}
 }
 
-func (f *FSM) inOpenConfirm(ev Event) []Action {
+func (f *FSM) inOpenConfirm(ev Event) {
 	switch ev.Type {
 	case EvMsgKeepalive:
 		f.to(Established)
 		f.establishedEvents++
-		acts := []Action{{Type: ActEstablished}}
+		f.emit(ActEstablished)
 		if f.negotiatedHold > 0 {
-			acts = append(acts, Action{Type: ActStartHold})
+			f.emit(ActStartHold)
 		}
-		return acts
 	case EvMsgNotification:
 		f.to(Idle)
-		return []Action{{Type: ActCloseConn}}
+		f.emit(ActCloseConn)
 	case EvMsgError:
-		return f.notifyFromError(ev.Err)
+		f.notifyFromError(ev.Err)
 	case EvHoldTimerExpires:
-		return f.notifyAndIdle(wire.ErrCodeHoldTimer, 0, nil)
+		f.notifyAndIdle(wire.ErrCodeHoldTimer, 0, nil)
 	case EvKeepaliveTimerExpires:
-		return []Action{{Type: ActSendKeepalive}, {Type: ActStartKeepalive}}
+		f.emit(ActSendKeepalive, ActStartKeepalive)
 	case EvTCPConnFails:
 		if f.cfg.Passive {
 			// Nothing to re-dial: acceptors run a fresh session per
 			// inbound connection.
 			f.to(Idle)
-			return []Action{{Type: ActCloseConn}}
+			f.emit(ActCloseConn)
+			return
 		}
 		// Recover exactly as OpenSent does. The peer's OPEN can be
 		// processed before our own failed OPEN write is, so a transport
@@ -318,92 +327,87 @@ func (f *FSM) inOpenConfirm(ev Event) []Action {
 		// end the session with no Down reported (it was never up) and
 		// nothing left to re-dial.
 		f.to(Active)
-		return []Action{{Type: ActStopHold}, {Type: ActStopKeepalive}, {Type: ActStartConnectRetry}}
+		f.emit(ActStopHold, ActStopKeepalive, ActStartConnectRetry)
 	case EvManualStop:
-		return f.cease()
+		f.cease()
 	default:
-		return f.fsmError(ev)
+		f.fsmError()
 	}
 }
 
-func (f *FSM) inEstablished(ev Event) []Action {
+func (f *FSM) inEstablished(ev Event) {
 	switch ev.Type {
 	case EvMsgUpdate:
 		if ev.Update == nil {
-			return f.fsmError(ev)
+			f.fsmError()
+			return
 		}
-		acts := []Action{{Type: ActDeliverUpdate, Update: ev.Update}}
+		f.acts = append(f.acts, Action{Type: ActDeliverUpdate, Update: ev.Update})
 		if f.negotiatedHold > 0 {
-			acts = append(acts, Action{Type: ActStartHold})
+			f.emit(ActStartHold)
 		}
-		return acts
 	case EvMsgKeepalive:
 		if f.negotiatedHold > 0 {
-			return []Action{{Type: ActStartHold}}
+			f.emit(ActStartHold)
 		}
-		return nil
 	case EvMsgRouteRefresh:
 		if ev.Refresh == nil {
-			return f.fsmError(ev)
+			f.fsmError()
+			return
 		}
-		acts := []Action{{Type: ActDeliverRefresh, Refresh: ev.Refresh}}
+		f.acts = append(f.acts, Action{Type: ActDeliverRefresh, Refresh: ev.Refresh})
 		if f.negotiatedHold > 0 {
-			acts = append(acts, Action{Type: ActStartHold})
+			f.emit(ActStartHold)
 		}
-		return acts
 	case EvKeepaliveTimerExpires:
-		return []Action{{Type: ActSendKeepalive}, {Type: ActStartKeepalive}}
+		f.emit(ActSendKeepalive, ActStartKeepalive)
 	case EvHoldTimerExpires:
-		acts := f.notifyAndIdle(wire.ErrCodeHoldTimer, 0, nil)
-		return append([]Action{{Type: ActStopped}}, acts...)
+		f.emit(ActStopped)
+		f.notifyAndIdle(wire.ErrCodeHoldTimer, 0, nil)
 	case EvMsgNotification:
 		f.to(Idle)
-		return []Action{{Type: ActStopped}, {Type: ActCloseConn}}
+		f.emit(ActStopped, ActCloseConn)
 	case EvMsgError:
-		acts := f.notifyFromError(ev.Err)
-		return append([]Action{{Type: ActStopped}}, acts...)
+		f.emit(ActStopped)
+		f.notifyFromError(ev.Err)
 	case EvTCPConnFails:
 		f.to(Idle)
-		return []Action{{Type: ActStopped}, {Type: ActCloseConn}}
+		f.emit(ActStopped, ActCloseConn)
 	case EvManualStop:
-		acts := f.cease()
-		return append([]Action{{Type: ActStopped}}, acts...)
+		f.emit(ActStopped)
+		f.cease()
 	default:
-		acts := f.fsmError(ev)
-		return append([]Action{{Type: ActStopped}}, acts...)
+		f.emit(ActStopped)
+		f.fsmError()
 	}
 }
 
 // cease sends an administrative-shutdown NOTIFICATION and returns to Idle.
-func (f *FSM) cease() []Action {
-	return f.notifyAndIdle(wire.ErrCodeCease, 0, nil)
+func (f *FSM) cease() {
+	f.notifyAndIdle(wire.ErrCodeCease, 0, nil)
 }
 
 // fsmError handles an event illegal in the current state.
-func (f *FSM) fsmError(Event) []Action {
-	return f.notifyAndIdle(wire.ErrCodeFSM, 0, nil)
+func (f *FSM) fsmError() {
+	f.notifyAndIdle(wire.ErrCodeFSM, 0, nil)
 }
 
 // notifyFromError converts a parse failure into the NOTIFICATION the RFC
 // prescribes, then tears the session down.
-func (f *FSM) notifyFromError(err error) []Action {
+func (f *FSM) notifyFromError(err error) {
 	if ne, ok := err.(*wire.NotifyError); ok {
-		return f.notifyAndIdle(ne.Code, ne.Subcode, ne.Data)
+		f.notifyAndIdle(ne.Code, ne.Subcode, ne.Data)
+		return
 	}
-	return f.notifyAndIdle(wire.ErrCodeCease, 0, nil)
+	f.notifyAndIdle(wire.ErrCodeCease, 0, nil)
 }
 
-func (f *FSM) notifyAndIdle(code, subcode uint8, data []byte) []Action {
+func (f *FSM) notifyAndIdle(code, subcode uint8, data []byte) {
 	n := &wire.Notification{Code: code, Subcode: subcode, Data: data}
 	f.lastNotifSent = n
 	f.to(Idle)
-	return []Action{
-		{Type: ActSendNotify, Notif: n},
-		{Type: ActStopHold},
-		{Type: ActStopKeepalive},
-		{Type: ActStopConnectRetry},
-		{Type: ActCloseConn},
-	}
+	f.acts = append(f.acts, Action{Type: ActSendNotify, Notif: n})
+	f.emit(ActStopHold, ActStopKeepalive, ActStopConnectRetry, ActCloseConn)
 }
 
 // LastNotificationSent returns the most recent NOTIFICATION this side

@@ -202,6 +202,23 @@ func TestUpdateDelivery(t *testing.T) {
 	}
 }
 
+// TestHandleEstablishedAllocs guards the receive path's FSM step: in
+// Established, handling an UPDATE or a KEEPALIVE allocates nothing, its
+// actions returned in the FSM's scratch.
+func TestHandleEstablishedAllocs(t *testing.T) {
+	f := New(testConfig())
+	driveToEstablished(t, f)
+	u := &wire.Update{}
+	for _, ev := range []Event{{Type: EvMsgUpdate, Update: u}, {Type: EvMsgKeepalive}} {
+		if got := testing.AllocsPerRun(100, func() { f.Handle(ev) }); got != 0 {
+			t.Errorf("Handle(%v) allocated %v times, want 0", ev.Type, got)
+		}
+	}
+	if f.State() != Established {
+		t.Fatalf("state = %v", f.State())
+	}
+}
+
 func TestKeepaliveRestartsHold(t *testing.T) {
 	f := New(testConfig())
 	driveToEstablished(t, f)

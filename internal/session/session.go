@@ -130,11 +130,25 @@ type Counters struct {
 }
 
 // event is the internal event-loop message: an FSM event plus optional
-// transport payload.
+// transport payload, or a reader hand-off.
 type event struct {
 	fsm  fsm.Event
-	conn net.Conn // with EvTCPConnEstablished
-	err  error    // with EvTCPConnFails / EvMsgError
+	conn net.Conn  // with EvTCPConnEstablished
+	err  error     // with EvTCPConnFails / EvMsgError
+	slab *readSlab // when set, the event is this hand-off and fsm is unused
+}
+
+// readSlab is one reader→loop hand-off: every message one buffered read
+// held, in arrival order. updates are the decoded UPDATEs; a non-UPDATE
+// message or a read error, when one came next, ends the slab as end.
+// Each reader owns two slabs, which the loop hands back through free
+// once it has fed them through the FSM, so at most two are in flight.
+type readSlab struct {
+	updates []wire.Update
+	end     event
+	hasEnd  bool
+	conn    net.Conn // the transport the slab was read from
+	free    chan *readSlab
 }
 
 // outboxItem is one queued transmission: either a message to marshal or
@@ -163,7 +177,7 @@ type Session struct {
 	conn         net.Conn
 	writer       *wire.Writer
 	sendHold     time.Time // the transport's write deadline; zero when none is set
-	holdTimer    *time.Timer
+	hold         holdTimer
 	kaTimer      *time.Timer
 	retryTimer   *time.Timer
 	readerCancel chan struct{}
@@ -426,6 +440,10 @@ func (s *Session) loop() {
 		case <-s.flushC:
 			s.flushC = nil
 			s.flushBatch()
+		case <-s.hold.c:
+			if s.hold.fired(time.Now()) && s.handle(event{fsm: fsm.Event{Type: fsm.EvHoldTimerExpires}}) {
+				return
+			}
 		}
 	}
 }
@@ -467,10 +485,12 @@ func (s *Session) flushBatch() {
 	if len(s.batch) == 0 {
 		return
 	}
-	b := s.batch
+	s.bh.UpdateBatch(s, s.batch)
+	// Drop the delivered updates' slices: a recycled slot must not keep
+	// the reader's chunks alive.
+	clear(s.batch)
 	s.batch = s.batch[:0]
 	s.batchPrefixes = 0
-	s.bh.UpdateBatch(s, b)
 }
 
 // writeOut writes one chunk taken off the outbound queue as one flush,
@@ -536,6 +556,9 @@ func (s *Session) writeFailed(err error) {
 // handle feeds one event through the FSM and executes the actions.
 // It returns true when the session is finished.
 func (s *Session) handle(ev event) bool {
+	if ev.slab != nil {
+		return s.handleSlab(ev.slab)
+	}
 	if ev.conn != nil {
 		if s.conn != nil {
 			// Connection collision: keep the first transport, ignore the
@@ -608,7 +631,7 @@ func (s *Session) execute(a fsm.Action, ev event) bool {
 	case fsm.ActStartHold:
 		s.startHold()
 	case fsm.ActStopHold:
-		s.stopTimer(&s.holdTimer)
+		s.hold.stop()
 	case fsm.ActStartKeepalive:
 		s.startKeepalive()
 	case fsm.ActStopKeepalive:
@@ -722,36 +745,29 @@ func (s *Session) adoptConn(conn net.Conn) {
 	go s.readLoop(conn, cancel)
 }
 
-// readLoop converts inbound messages to FSM events.
+// readLoop hands the inbound messages to the loop a buffered read at a
+// time: it decodes every whole message already buffered into a slab and
+// sends the slab as one event, reading the socket again only for the
+// first message of the next slab, so it never blocks while holding
+// decoded messages.
 func (s *Session) readLoop(conn net.Conn, cancel chan struct{}) {
 	defer s.wg.Done()
 	r := wire.NewReader(conn)
+	free := make(chan *readSlab, 2)
+	free <- &readSlab{conn: conn, free: free}
+	free <- &readSlab{conn: conn, free: free}
 	for {
-		m, err := r.ReadMessage()
-		var ev event
-		switch {
-		case err == nil:
-			s.Stats.MsgsIn.Add(1)
-			if o, ok := m.(wire.Open); ok && s.local4 {
-				// The reader owns its parse mode: switch to 4-octet
-				// AS_PATH decoding the moment the peer's OPEN commits
-				// both sides to it, before any UPDATE bytes follow.
-				if _, peer4 := o.FourOctetAS(); peer4 {
-					r.SetFourOctetAS(true)
-				}
-			}
-			ev.fsm = messageEvent(m)
-		default:
-			var ne *wire.NotifyError
-			if errors.As(err, &ne) {
-				ev.fsm = fsm.Event{Type: fsm.EvMsgError, Err: ne}
-			} else {
-				ev.fsm = fsm.Event{Type: fsm.EvTCPConnFails}
-				ev.err = err
-			}
-		}
+		var sl *readSlab
 		select {
-		case s.events <- ev:
+		case sl = <-free:
+		case <-cancel:
+			return
+		case <-s.done:
+			return
+		}
+		err := s.fill(r, sl)
+		select {
+		case s.events <- event{slab: sl}:
 		case <-cancel:
 			return
 		case <-s.done:
@@ -763,21 +779,81 @@ func (s *Session) readLoop(conn net.Conn, cancel chan struct{}) {
 	}
 }
 
-// messageEvent maps a parsed message onto its FSM event.
-func messageEvent(m wire.Message) fsm.Event {
+// fill decodes messages into sl until a non-UPDATE message or an error
+// ends it, or no whole message is left buffered. It returns the read
+// error, after which the stream is unusable.
+func (s *Session) fill(r *wire.Reader, sl *readSlab) error {
+	for {
+		n := len(sl.updates)
+		sl.updates = append(sl.updates, wire.Update{})
+		typ, m, err := r.ReadInto(&sl.updates[n])
+		if err == nil {
+			s.Stats.MsgsIn.Add(1)
+		}
+		if err != nil || typ != wire.MsgUpdate {
+			sl.updates[n] = wire.Update{}
+			sl.updates = sl.updates[:n]
+			sl.end, sl.hasEnd = endEvent(m, err), true
+			if o, ok := m.(wire.Open); ok && s.local4 {
+				// The reader owns its parse mode: switch to 4-octet
+				// AS_PATH decoding the moment the peer's OPEN commits
+				// both sides to it, before any UPDATE bytes follow.
+				if _, peer4 := o.FourOctetAS(); peer4 {
+					r.SetFourOctetAS(true)
+				}
+			}
+			return err
+		}
+		if !r.Buffered() {
+			return nil
+		}
+	}
+}
+
+// handleSlab feeds a reader hand-off through the FSM one message at a
+// time, in arrival order, then gives the slab back to its reader.
+// Messages read from a transport the loop has since dropped are not fed.
+func (s *Session) handleSlab(sl *readSlab) bool {
+	finished := false
+	for i := range sl.updates {
+		if finished || s.conn != sl.conn {
+			break
+		}
+		finished = s.handle(event{fsm: fsm.Event{Type: fsm.EvMsgUpdate, Update: &sl.updates[i]}})
+	}
+	if sl.hasEnd && !finished && s.conn == sl.conn {
+		finished = s.handle(sl.end)
+	}
+	// Recycle the slots without their slices, which would keep the
+	// reader's chunks alive.
+	clear(sl.updates)
+	sl.updates = sl.updates[:0]
+	sl.end, sl.hasEnd = event{}, false
+	sl.free <- sl
+	return finished
+}
+
+// endEvent maps the message or read error that ended a slab onto its
+// event.
+func endEvent(m wire.Message, err error) event {
+	if err != nil {
+		var ne *wire.NotifyError
+		if errors.As(err, &ne) {
+			return event{fsm: fsm.Event{Type: fsm.EvMsgError, Err: ne}}
+		}
+		return event{fsm: fsm.Event{Type: fsm.EvTCPConnFails}, err: err}
+	}
 	switch v := m.(type) {
 	case wire.Open:
-		return fsm.Event{Type: fsm.EvMsgOpen, Open: &v}
-	case wire.Update:
-		return fsm.Event{Type: fsm.EvMsgUpdate, Update: &v}
+		return event{fsm: fsm.Event{Type: fsm.EvMsgOpen, Open: &v}}
 	case wire.Notification:
-		return fsm.Event{Type: fsm.EvMsgNotification, Notif: &v}
+		return event{fsm: fsm.Event{Type: fsm.EvMsgNotification, Notif: &v}}
 	case wire.Keepalive:
-		return fsm.Event{Type: fsm.EvMsgKeepalive}
+		return event{fsm: fsm.Event{Type: fsm.EvMsgKeepalive}}
 	case wire.RouteRefresh:
-		return fsm.Event{Type: fsm.EvMsgRouteRefresh, Refresh: &v}
+		return event{fsm: fsm.Event{Type: fsm.EvMsgRouteRefresh, Refresh: &v}}
 	}
-	return fsm.Event{Type: fsm.EvMsgError, Err: fmt.Errorf("unknown message %T", m)}
+	return event{fsm: fsm.Event{Type: fsm.EvMsgError, Err: fmt.Errorf("unknown message %T", m)}}
 }
 
 func (s *Session) dropConn() {
@@ -795,17 +871,9 @@ func (s *Session) dropConn() {
 }
 
 func (s *Session) startHold() {
-	d := time.Duration(s.holdSeconds()) * time.Second
-	if d == 0 {
-		return
+	if d := time.Duration(s.holdSeconds()) * time.Second; d != 0 {
+		s.hold.set(time.Now(), d)
 	}
-	s.stopTimer(&s.holdTimer)
-	s.holdTimer = time.AfterFunc(d, func() {
-		select {
-		case s.events <- event{fsm: fsm.Event{Type: fsm.EvHoldTimerExpires}}:
-		case <-s.done:
-		}
-	})
 }
 
 func (s *Session) holdSeconds() uint16 {
@@ -852,7 +920,7 @@ func (s *Session) stopTimer(t **time.Timer) {
 }
 
 func (s *Session) cleanup() {
-	s.stopTimer(&s.holdTimer)
+	s.hold.stop()
 	s.stopTimer(&s.kaTimer)
 	s.stopTimer(&s.retryTimer)
 	s.stopTimer(&s.flushTimer)

@@ -73,7 +73,9 @@ func (f *passiveFarm) stop() {
 // negotiated hold time starves the active side of keepalives even though
 // the peer keeps sending them. The hold timer must fire, send the
 // hold-timer NOTIFICATION, and take the session down — the stall-profile
-// analogue of a peer wedged behind a congested link.
+// analogue of a peer wedged behind a congested link. The timer was first
+// scheduled for the 240 s pre-OPEN bound, so this also checks that the
+// negotiated 3 s deadline re-arms it sooner.
 func TestHoldTimerExpiryUnderReadStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hold-timer expiry waits out a 3s hold time")

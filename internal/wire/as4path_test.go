@@ -55,7 +55,7 @@ func TestAS4TransSubstitutionOnSend(t *testing.T) {
 	msg := mustMarshal(t, u)
 	vals := attrValues(t, rawAttrs(t, msg))
 
-	narrow, err := parseASPath(vals[AttrASPath], 2)
+	narrow, err := parseASPath(vals[AttrASPath], 2, nil)
 	if err != nil {
 		t.Fatalf("parse 2-octet AS_PATH: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestAS4TransSubstitutionOnSend(t *testing.T) {
 	if !ok {
 		t.Fatal("no AS4_PATH attribute on the wire")
 	}
-	wide, err := parseASPath(shadow, 4)
+	wide, err := parseASPath(shadow, 4, nil)
 	if err != nil {
 		t.Fatalf("parse AS4_PATH: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestAS4WideModeHasNoShadowAttrs(t *testing.T) {
 	if _, ok := vals[AttrAS4Aggregator]; ok {
 		t.Error("AS4_AGGREGATOR emitted on a 4-octet session")
 	}
-	wide, err := parseASPath(vals[AttrASPath], 4)
+	wide, err := parseASPath(vals[AttrASPath], 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

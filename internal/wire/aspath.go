@@ -226,8 +226,9 @@ func (p ASPath) wireLen(as4 bool) int {
 // parseASPath decodes an AS_PATH (or AS4_PATH) attribute value. asnSize is
 // the per-ASN octet count: 2 for a classic AS_PATH on a 2-octet session, 4
 // for AS4_PATH and for AS_PATH on a session that negotiated 4-octet AS
-// numbers.
-func parseASPath(b []byte, asnSize int) (ASPath, error) {
+// numbers. Segments and ASNs are taken from ar (nil: each slice
+// allocated on its own).
+func parseASPath(b []byte, asnSize int, ar *arena) (ASPath, error) {
 	var p ASPath
 	for len(b) > 0 {
 		if len(b) < 2 {
@@ -244,7 +245,7 @@ func parseASPath(b []byte, asnSize int) (ASPath, error) {
 		if len(b) < need {
 			return ASPath{}, notifyErrf(ErrCodeUpdate, ErrSubMalformedASPath, nil, "truncated AS_PATH segment body")
 		}
-		seg := ASSegment{Type: typ, ASNs: make([]uint32, cnt)}
+		seg := ASSegment{Type: typ, ASNs: cutRun(ar.uint32s(), cnt)}
 		for i := 0; i < cnt; i++ {
 			off := 2 + asnSize*i
 			if asnSize == 4 {
@@ -253,7 +254,7 @@ func parseASPath(b []byte, asnSize int) (ASPath, error) {
 				seg.ASNs[i] = uint32(b[off])<<8 | uint32(b[off+1])
 			}
 		}
-		p.Segments = append(p.Segments, seg)
+		p.Segments = appendRun(ar.segments(), p.Segments, seg)
 		b = b[need:]
 	}
 	return p, nil

@@ -119,7 +119,7 @@ func TestASPathWireRoundTrip(t *testing.T) {
 		if len(buf) != p.wireLen(false) {
 			t.Fatalf("wireLen %d != encoded %d for %v", p.wireLen(false), len(buf), p)
 		}
-		q, err := parseASPath(buf, 2)
+		q, err := parseASPath(buf, 2, nil)
 		if err != nil {
 			t.Fatalf("parseASPath(%v): %v", buf, err)
 		}
@@ -132,7 +132,7 @@ func TestASPathWireRoundTrip(t *testing.T) {
 		if len(buf) != wide.wireLen(true) {
 			t.Fatalf("as4 wireLen %d != encoded %d for %v", wide.wireLen(true), len(buf), wide)
 		}
-		q, err = parseASPath(buf, 4)
+		q, err = parseASPath(buf, 4, nil)
 		if err != nil {
 			t.Fatalf("parseASPath as4 (%v): %v", buf, err)
 		}
@@ -153,7 +153,7 @@ func TestParseASPathErrors(t *testing.T) {
 		{"truncated body", []byte{2, 3, 0, 1, 0, 2}},
 	}
 	for _, c := range cases {
-		if _, err := parseASPath(c.in, 2); err == nil {
+		if _, err := parseASPath(c.in, 2, nil); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}

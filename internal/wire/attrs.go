@@ -189,7 +189,7 @@ func MarshalAttrs(a PathAttrs) []byte {
 // UnmarshalAttrs decodes a path-attribute block (the inverse of
 // MarshalAttrs). MRT table dumps store attribute blocks in this format.
 func UnmarshalAttrs(b []byte) (PathAttrs, error) {
-	a, mp, err := parseAttrsMode(b, false)
+	a, mp, err := parseAttrsMode(b, false, nil)
 	if err != nil {
 		return a, err
 	}
@@ -347,16 +347,17 @@ type mpAttrData struct {
 	hasNextHop bool
 }
 
-// parseAttrsMode decodes a path attribute block of exactly len(b) bytes.
-// as4 selects the AS_PATH
-// and AGGREGATOR encoding negotiated for the session (RFC 6793); in
-// 2-octet mode AS4_PATH/AS4_AGGREGATOR are merged per RFC 6793 4.2.3.
-func parseAttrsMode(b []byte, as4 bool) (PathAttrs, mpAttrData, error) {
+// parseAttrsMode decodes a path attribute block of exactly len(b) bytes,
+// its slices taken from ar (nil: each one allocated on its own). as4
+// selects the AS_PATH and AGGREGATOR encoding negotiated for the session
+// (RFC 6793); in 2-octet mode AS4_PATH/AS4_AGGREGATOR are merged per
+// RFC 6793 4.2.3.
+func parseAttrsMode(b []byte, as4 bool, ar *arena) (PathAttrs, mpAttrData, error) {
 	var a PathAttrs
 	var mp mpAttrData
 	var as4Path *ASPath
 	var as4Agg *Aggregator
-	seen := map[AttrType]bool{}
+	var seen [256]bool
 	for len(b) > 0 {
 		if len(b) < 3 {
 			return a, mp, notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "truncated attribute header")
@@ -400,7 +401,7 @@ func parseAttrsMode(b []byte, as4 bool) (PathAttrs, mpAttrData, error) {
 			if as4 {
 				size = 4
 			}
-			p, err := parseASPath(val, size)
+			p, err := parseASPath(val, size, ar)
 			if err != nil {
 				return a, mp, err
 			}
@@ -445,18 +446,18 @@ func parseAttrsMode(b []byte, as4 bool) (PathAttrs, mpAttrData, error) {
 				return a, mp, notifyErrf(ErrCodeUpdate, ErrSubOptAttr, val, "COMMUNITIES length %d", vlen)
 			}
 			for i := 0; i < vlen; i += 4 {
-				a.Communities = append(a.Communities, Community(be32(val[i:i+4])))
+				a.Communities = appendRun(ar.communities(), a.Communities, Community(be32(val[i:i+4])))
 			}
 		case AttrMPReachNLRI:
-			if err := parseMPReach(val, &mp); err != nil {
+			if err := parseMPReach(val, &mp, ar); err != nil {
 				return a, mp, err
 			}
 		case AttrMPUnreachNLRI:
-			if err := parseMPUnreach(val, &mp); err != nil {
+			if err := parseMPUnreach(val, &mp, ar); err != nil {
 				return a, mp, err
 			}
 		case AttrAS4Path:
-			p, err := parseASPath(val, 4)
+			p, err := parseASPath(val, 4, nil)
 			if err != nil {
 				return a, mp, err
 			}
@@ -500,7 +501,7 @@ func parseAttrsMode(b []byte, as4 bool) (PathAttrs, mpAttrData, error) {
 
 // parseMPReach decodes an MP_REACH_NLRI value: AFI, SAFI, next hop,
 // reserved octet, NLRI.
-func parseMPReach(val []byte, mp *mpAttrData) error {
+func parseMPReach(val []byte, mp *mpAttrData, ar *arena) error {
 	if len(val) < 5 {
 		return notifyErrf(ErrCodeUpdate, ErrSubOptAttr, val, "MP_REACH_NLRI length %d", len(val))
 	}
@@ -523,6 +524,7 @@ func parseMPReach(val []byte, mp *mpAttrData) error {
 		return notifyErrf(ErrCodeUpdate, ErrSubOptAttr, nil, "MP_REACH_NLRI next hop length %d", nhLen)
 	}
 	nb := val[4+nhLen+1:] // skip reserved octet
+	mp.nlri = ar.prefixRun(nb)
 	for len(nb) > 0 {
 		p, n, err := netaddr.PrefixFromWireFamily(nb, fam)
 		if err != nil {
@@ -536,7 +538,7 @@ func parseMPReach(val []byte, mp *mpAttrData) error {
 
 // parseMPUnreach decodes an MP_UNREACH_NLRI value: AFI, SAFI, withdrawn
 // routes.
-func parseMPUnreach(val []byte, mp *mpAttrData) error {
+func parseMPUnreach(val []byte, mp *mpAttrData, ar *arena) error {
 	if len(val) < 3 {
 		return notifyErrf(ErrCodeUpdate, ErrSubOptAttr, val, "MP_UNREACH_NLRI length %d", len(val))
 	}
@@ -547,6 +549,7 @@ func parseMPUnreach(val []byte, mp *mpAttrData) error {
 		return notifyErrf(ErrCodeUpdate, ErrSubOptAttr, val[:3], "MP_UNREACH_NLRI unsupported AFI %d / SAFI %d", afi, safi)
 	}
 	nb := val[3:]
+	mp.withdrawn = ar.prefixRun(nb)
 	for len(nb) > 0 {
 		p, n, err := netaddr.PrefixFromWireFamily(nb, fam)
 		if err != nil {

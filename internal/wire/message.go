@@ -291,19 +291,29 @@ func (u Update) appendBodyMode(dst []byte, as4 bool) []byte {
 }
 
 func parseUpdate(b []byte, as4 bool) (Message, error) {
+	var u Update
+	if err := decodeUpdate(&u, b, as4, nil); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// decodeUpdate decodes an UPDATE body into the zero *u, its slices taken
+// from ar (nil: each one allocated on its own).
+func decodeUpdate(u *Update, b []byte, as4 bool, ar *arena) error {
 	if len(b) < 4 {
-		return nil, notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "short UPDATE body")
+		return notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "short UPDATE body")
 	}
 	wLen := int(b[0])<<8 | int(b[1])
 	if len(b) < 2+wLen+2 {
-		return nil, notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "withdrawn routes length %d overruns body", wLen)
+		return notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "withdrawn routes length %d overruns body", wLen)
 	}
-	var u Update
 	wb := b[2 : 2+wLen]
+	u.Withdrawn = ar.prefixRun(wb)
 	for len(wb) > 0 {
 		p, n, err := netaddr.PrefixFromWire(wb)
 		if err != nil {
-			return nil, notifyErrf(ErrCodeUpdate, ErrSubInvalidNetwork, nil, "withdrawn route: %v", err)
+			return notifyErrf(ErrCodeUpdate, ErrSubInvalidNetwork, nil, "withdrawn route: %v", err)
 		}
 		u.Withdrawn = append(u.Withdrawn, p)
 		wb = wb[n:]
@@ -311,22 +321,22 @@ func parseUpdate(b []byte, as4 bool) (Message, error) {
 	rest := b[2+wLen:]
 	aLen := int(rest[0])<<8 | int(rest[1])
 	if len(rest) < 2+aLen {
-		return nil, notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "attribute length %d overruns body", aLen)
+		return notifyErrf(ErrCodeUpdate, ErrSubMalformedAttrList, nil, "attribute length %d overruns body", aLen)
 	}
 	var mp mpAttrData
 	if aLen > 0 {
-		attrs, mpd, err := parseAttrsMode(rest[2:2+aLen], as4)
+		attrs, mpd, err := parseAttrsMode(rest[2:2+aLen], as4, ar)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		u.Attrs = attrs
-		mp = mpd
+		u.Attrs, mp = attrs, mpd
 	}
 	nb := rest[2+aLen:]
+	u.NLRI = ar.prefixRun(nb)
 	for len(nb) > 0 {
 		p, n, err := netaddr.PrefixFromWire(nb)
 		if err != nil {
-			return nil, notifyErrf(ErrCodeUpdate, ErrSubInvalidNetwork, nil, "NLRI: %v", err)
+			return notifyErrf(ErrCodeUpdate, ErrSubInvalidNetwork, nil, "NLRI: %v", err)
 		}
 		u.NLRI = append(u.NLRI, p)
 		nb = nb[n:]
@@ -334,17 +344,15 @@ func parseUpdate(b []byte, as4 bool) (Message, error) {
 	// Unfold the MP attribute payload: announced prefixes join NLRI, MP
 	// withdrawals join Withdrawn, and the MP next hop stands in when no
 	// classic NEXT_HOP was present.
-	u.NLRI = append(u.NLRI, mp.nlri...)
-	u.Withdrawn = append(u.Withdrawn, mp.withdrawn...)
+	u.NLRI = ar.concatPrefixes(u.NLRI, mp.nlri)
+	u.Withdrawn = ar.concatPrefixes(u.Withdrawn, mp.withdrawn)
 	if !u.Attrs.HasNextHop && mp.hasNextHop {
 		u.Attrs.NextHop, u.Attrs.HasNextHop = mp.nextHop, true
 	}
 	if len(u.NLRI) > 0 {
-		if err := u.Attrs.validateForAnnounce(); err != nil {
-			return nil, err
-		}
+		return u.Attrs.validateForAnnounce()
 	}
-	return u, nil
+	return nil
 }
 
 // Notification is the BGP NOTIFICATION message (RFC 4271 section 4.5).

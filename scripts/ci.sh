@@ -54,17 +54,21 @@ step_conformance() {
 # Peer-lifecycle stress: the bounced-peer model test, the two leak tests
 # (bounces with MRAI on, both group keyings; connections that come and
 # go), the group join/leave tests, a stalled receiver and the goroutines
-# a peer costs, the session layer's reconnect and stalled-peer tests,
-# and the faulted conformance gates plus the phase settle under a
-# sender stall (a settle that fires early shows up as digest drift),
-# twenty times each on one and on two scheduler threads. Flap handling
-# that passes once proves nothing.
+# a peer costs, the session layer's reconnect and stalled-peer tests and
+# the order of a burst cut by a NOTIFICATION, and the faulted
+# conformance gates plus the phase settle under a sender stall (a settle
+# that fires early shows up as digest drift), twenty times each on one
+# and on two scheduler threads. Flap handling that passes once proves
+# nothing. The two hold-timer tests wait out real 3 s hold times (5 and
+# 11 s a run), so they run twice per thread count instead.
 step_stress() {
 	for procs in 1 2; do
 		GOMAXPROCS=$procs $GO test -count=20 \
 			-run 'TestPeerLifecycleInterleavings|TestPeerUpOvertakenBySuccessor|TestMRAIFlusherDoesNotLeakAcrossBounces|TestRouterForgetsFinishedSessions|TestGroupSecondMemberSeesSoleMembersRoutes|TestGroupJoinMidStream|TestStalledReceiverDoesNotBlockPropagation|TestRouterPeerGoroutines' ./internal/core/
 		GOMAXPROCS=$procs $GO test -count=20 \
-			-run 'TestMidOpenConnFailure|TestNetemResetTearsDownCleanly|TestConnectRetryBackoffUnderResets|TestStalledPeerCannotWedgeSession' ./internal/session/
+			-run 'TestMidOpenConnFailure|TestNetemResetTearsDownCleanly|TestConnectRetryBackoffUnderResets|TestStalledPeerCannotWedgeSession|TestBurstEndsAtNotification' ./internal/session/
+		GOMAXPROCS=$procs $GO test -count=2 \
+			-run 'TestHoldTimerExpiryUnderReadStall|TestHoldTimerKeptByUpdates' ./internal/session/
 		GOMAXPROCS=$procs $GO test -count=20 \
 			-run 'TestConformanceGate|TestConformanceManyPeerGate|TestConformanceReplayDeterminism|TestSettleOutlastsSenderStall' ./internal/bench/
 	done
@@ -75,7 +79,9 @@ step_stress() {
 # 100k-prefix group rebuild is the large-table smoke: one full chunked
 # catch-up of a group table from the Loc-RIB. The footprint benchmarks
 # print the Loc-RIB's and the FIB's B/prefix for the benchmark's table
-# shapes; one iteration is their whole measurement.
+# shapes; one iteration is their whole measurement. The session receive
+# benchmark backs the session.deliver stage (ns/msg, allocs/msg, at 1
+# and 500 prefixes per UPDATE).
 step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
 		-benchtime=1x ./internal/core/
@@ -86,17 +92,20 @@ step_bench_smoke() {
 		-benchtime=1x ./internal/fib/
 	$GO test -run='^$' -bench 'BenchmarkLocRIBFootprint|BenchmarkPatriciaFootprint' \
 		-benchtime=1x ./internal/rib/ ./internal/fib/
+	$GO test -run='^$' -bench 'BenchmarkSessionReceive' -benchtime=1x ./internal/session/
 }
 
 # The examples that drive the router's tables end to end, each with its
 # existing flags and a short input: quickstart walks and looks up the FIB,
 # policylab filters and aggregates, lookupalgos times every FIB engine,
-# convergence times re-convergence per engine.
+# convergence times re-convergence per engine, crosstraffic forwards
+# traffic while the table churns.
 step_examples() {
 	$GO run ./examples/quickstart
 	$GO run ./examples/policylab
 	$GO run ./examples/lookupalgos -n 20000 -lookups 200000
 	$GO run ./examples/convergence -n 2000
+	$GO run ./examples/crosstraffic -n 2000
 }
 
 # The repository benchmark (benchmark/, BENCHMARK.json) must build and
