@@ -8,7 +8,9 @@
 //   - Linear: sorted linear scan; the obviously-correct reference used by
 //     the property tests and the baseline in lookup benchmarks.
 //   - BinaryTrie: one bit per level, the textbook structure.
-//   - Patricia: path-compressed binary trie; fewer nodes, deeper logic.
+//   - Patricia: path-compressed binary trie under a direct-index /16 root
+//     directory, so one slot load replaces the top sixteen levels of
+//     every descent; the router's default engine, cheapest to write.
 //   - HashLengths: one hash table per prefix length, probed longest-first.
 //   - Poptrie: level-compressed multibit trie with popcount-indexed
 //     children and a direct-index /16 root stride; cache-compact lookups

@@ -2,6 +2,7 @@ package fib
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bgpbench/internal/netaddr"
@@ -344,33 +345,51 @@ func TestPatriciaCompression(t *testing.T) {
 	})
 }
 
-// checkPatricia verifies the trie's shape: every node below a root either
-// carries a route or splits two children, nodes reachable from the roots
-// and nodes on the free list together account for every index handed
-// out, and every hop is inside the next-hop table.
+// checkPatricia verifies the trie's shape: every node either carries a
+// route or splits two children, and each child extends its parent's
+// prefix on the side it hangs from; every node under a directory slot is
+// a /16 or longer with the slot's top bits, and every short-trie node is
+// shorter than /16; nodes reachable from the slots and short tries and
+// nodes on the free list together account for every index handed out;
+// and every hop is inside the next-hop table.
 func checkPatricia(t *testing.T, p *Patricia) {
 	t.Helper()
 	reachable, routes := 0, 0
-	var visit func(i uint32, root bool)
-	visit = func(i uint32, root bool) {
+	var visit func(i uint32, in func(netaddr.Prefix) bool)
+	visit = func(i uint32, in func(netaddr.Prefix) bool) {
 		if i == 0 {
 			return
 		}
 		n := p.node(i)
 		reachable++
+		if !in(n.prefix) {
+			t.Fatalf("%v: in the wrong slot or trie", n.prefix)
+		}
 		if n.hop != 0 {
 			routes++
 			if int(n.hop) > len(p.hops) {
 				t.Fatalf("%v: hop %d outside a %d-entry table", n.prefix, n.hop, len(p.hops))
 			}
-		} else if !root && (n.child[0] == 0 || n.child[1] == 0) {
+		} else if n.child[0] == 0 || n.child[1] == 0 {
 			t.Fatalf("%v: structural node with children %v", n.prefix, n.child)
 		}
-		visit(n.child[0], false)
-		visit(n.child[1], false)
+		for bit, ci := range n.child {
+			if c := p.node(ci).prefix; ci != 0 && (c.Len() <= n.prefix.Len() || !n.prefix.Contains(c.Addr()) || c.Addr().Bit(n.prefix.Len()) != bit) {
+				t.Fatalf("%v: child %d is %v", n.prefix, bit, c)
+			}
+			visit(ci, in)
+		}
 	}
-	for _, r := range p.roots {
-		visit(r, true)
+	for _, f := range netaddr.Families {
+		visit(p.short[f], func(q netaddr.Prefix) bool { return q.Family() == f && q.Len() < chunkBits })
+		if p.dir[f] == nil {
+			continue
+		}
+		for slot, i := range p.dir[f] {
+			visit(i, func(q netaddr.Prefix) bool {
+				return q.Family() == f && q.Len() >= chunkBits && slot16(q.Addr()) == uint32(slot)
+			})
+		}
 	}
 	free := 0
 	for i := p.free; i != 0; i = p.node(i).child[0] {
@@ -384,14 +403,19 @@ func checkPatricia(t *testing.T, p *Patricia) {
 	}
 }
 
-// patriciaTable is n distinct clustered IPv4 prefixes with entries drawn
-// from a handful of next hops, as a router's FIB has.
+// patriciaTable is n distinct prefixes with entries drawn from a handful
+// of next hops, as a router's FIB has: IPv4 /8–/24, and one in four IPv6
+// /8–/48 clustered under sixteen /16 slots, so both the short tries and
+// the slot subtries fill.
 func patriciaTable(n int) []Op {
 	rng := rand.New(rand.NewSource(int64(n)))
 	seen := make(map[netaddr.Prefix]bool, n)
 	ops := make([]Op, 0, n)
 	for len(ops) < n {
-		q := netaddr.PrefixFrom(netaddr.AddrFromV4(rng.Uint32()), 16+rng.Intn(9))
+		q := netaddr.PrefixFrom(netaddr.AddrFromV4(rng.Uint32()), 8+rng.Intn(17))
+		if rng.Intn(4) == 0 {
+			q = netaddr.PrefixFrom(netaddr.AddrFrom128(uint64(0x2000|rng.Intn(16))<<48|rng.Uint64()>>16, 0), 8+rng.Intn(41))
+		}
 		if seen[q] {
 			continue
 		}
@@ -461,8 +485,9 @@ func TestPatriciaNextHopCompaction(t *testing.T) {
 }
 
 // TestPatriciaSteadyStateAllocs: on a warm trie, deleting and re-inserting
-// every route allocates nothing — nodes come from the free list and
-// entries from the next-hop table.
+// every route of both families allocates nothing — nodes come from the
+// free list, entries from the next-hop table, and each family's root
+// directory, allocated by its first /16-or-longer insert, stays.
 func TestPatriciaSteadyStateAllocs(t *testing.T) {
 	p := NewPatricia()
 	ops := patriciaTable(20000)
@@ -476,7 +501,121 @@ func TestPatriciaSteadyStateAllocs(t *testing.T) {
 		p.Apply(ops)
 	}
 	cycle()
+	dirs := p.dir
+	if dirs[netaddr.FamilyV4] == nil || dirs[netaddr.FamilyV6] == nil {
+		t.Fatal("a family with /16-or-longer routes has no directory")
+	}
 	if got := testing.AllocsPerRun(5, cycle); got != 0 {
 		t.Fatalf("delete-all + insert-all allocated %v times per cycle, want 0", got)
+	}
+	if p.dir != dirs {
+		t.Fatal("a cycle replaced a root directory")
+	}
+}
+
+// TestPatriciaStrideBoundaries drives prefixes around the /16 root
+// directory, in both families (an IPv6 case puts the same 32 bits at the
+// top of the address): /15, /16 and /17 at slot edges, a /8 above
+// populated and empty slots, lookups that miss in their slot and fall
+// back to the short trie, and the deletes that empty a slot. Every step
+// is checked against the Linear reference, with Walk in its sorted order.
+func TestPatriciaStrideBoundaries(t *testing.T) {
+	for _, f := range netaddr.Families {
+		t.Run(f.String(), func(t *testing.T) {
+			addr := func(v uint32) netaddr.Addr {
+				if f == netaddr.FamilyV6 {
+					return netaddr.AddrFrom128(uint64(v)<<32, 0)
+				}
+				return netaddr.AddrFromV4(v)
+			}
+			pfx := func(v uint32, l int) netaddr.Prefix { return netaddr.PrefixFrom(addr(v), l) }
+			p, ref := NewPatricia(), NewLinear()
+			check := func(step string) {
+				t.Helper()
+				checkPatricia(t, p)
+				if p.Len() != ref.Len() {
+					t.Fatalf("%s: Len = %d, want %d", step, p.Len(), ref.Len())
+				}
+				var got, want []netaddr.Prefix
+				p.Walk(func(q netaddr.Prefix, _ Entry) bool { got = append(got, q); return true })
+				ref.Walk(func(q netaddr.Prefix, _ Entry) bool { want = append(want, q); return true })
+				slices.SortFunc(want, netaddr.Prefix.Compare)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: Walk = %v, want %v", step, got, want)
+				}
+				// Slot edges, the /8's empty slots and the addresses
+				// around every route.
+				probes := []uint32{0x09FFFFFF, 0x0A000000, 0x0A00FFFF, 0x0A010000, 0x0A017FFF, 0x0A018000,
+					0x0A01FFFF, 0x0A020000, 0x0A020600, 0x0AC80001, 0x0AFFFFFF, 0x0B000000}
+				for _, q := range want {
+					v := uint32(q.Addr().Hi() >> 32)
+					probes = append(probes, v, v|^uint32(0)>>q.Len(), v|^uint32(0)>>q.Len()+1)
+				}
+				for _, v := range probes {
+					a := addr(v)
+					g, gok := p.Lookup(a)
+					if w, wok := ref.Lookup(a); g != w || gok != wok {
+						t.Fatalf("%s: Lookup(%v) = %+v/%v, want %+v/%v", step, a, g, gok, w, wok)
+					}
+				}
+			}
+			ins := func(v uint32, l, port int) {
+				p.Insert(pfx(v, l), Entry{Port: port})
+				ref.Insert(pfx(v, l), Entry{Port: port})
+			}
+			del := func(v uint32, l int) {
+				t.Helper()
+				if got, want := p.Delete(pfx(v, l)), ref.Delete(pfx(v, l)); got != want {
+					t.Fatalf("Delete(%v) = %v, want %v", pfx(v, l), got, want)
+				}
+			}
+			slot := func(v uint32) uint32 { return p.dir[f][uint16(slot16(addr(v)))] }
+
+			ins(0x0A000000, 15, 1) // spans slots 0x0A00 and 0x0A01
+			ins(0x0A010000, 16, 2)
+			ins(0x0A018000, 17, 3)
+			ins(0x0A000000, 17, 4)
+			check("/15, /16, /17")
+			ins(0x0A000000, 8, 5) // above populated and empty slots
+			ins(0x0A020500, 24, 6)
+			ins(0x09FF0000, 16, 9)  // a slot that sorts before the /8
+			ins(0x0A040000, 15, 10) // a short route that sorts after slots
+			check("/8 and a /24 the /8 backs")
+			if got, _ := p.Lookup(addr(0x0A020600)); got.Port != 5 {
+				t.Fatalf("slot miss fell back to port %d, want the /8's 5", got.Port)
+			}
+			if got, _ := p.Lookup(addr(0x0A017FFF)); got.Port != 2 {
+				t.Fatalf("/16 under the /15 answered port %d, want 2", got.Port)
+			}
+			if _, ok := p.LookupExact(pfx(0x0A010000, 17)); ok {
+				t.Fatal("LookupExact found a /17 never inserted")
+			}
+			del(0x0A018000, 17)
+			del(0x0A010000, 16)
+			check("slot 0x0A01 emptied")
+			if slot(0x0A010000) != 0 {
+				t.Fatal("slot 0x0A01 still links a node after its last delete")
+			}
+			del(0x0A010000, 16) // absent
+			del(0x0A020500, 24)
+			del(0x0A000000, 17)
+			del(0x09FF0000, 16)
+			check("every slot emptied")
+			for _, v := range []uint32{0x09FF0000, 0x0A000000, 0x0A020000} {
+				if slot(v) != 0 {
+					t.Fatalf("slot of %#x still links a node after its last delete", v)
+				}
+			}
+			del(0x0A000000, 15)
+			del(0x0A040000, 15)
+			del(0x0A000000, 8)
+			check("empty")
+			if p.short[f] != 0 {
+				t.Fatal("empty short trie still links a node")
+			}
+			ins(0, 0, 7) // the default route lives in the short trie
+			ins(0xFFFF0000, 16, 8)
+			check("/0 and the last slot")
+		})
 	}
 }

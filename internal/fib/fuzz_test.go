@@ -101,6 +101,11 @@ func FuzzEngineOps(f *testing.F) {
 	seed(churn(0, 1))
 	seed(churn(9, 10), rec(3, 0, 0))
 	seed(churn(0x10, 0x11))
+	// The /15, /16, /17 slot-edge cluster in IPv6 (kind bit 4), then a /8 above it and the
+	// deletes that empty both /16 slots, so lookups fall back to the /8.
+	seed(rec(0x10, 0x0A000000, 15), rec(0x10, 0x0A000000, 16), rec(0x10, 0x0A010000, 17),
+		rec(0x10, 0x0A000000, 8), rec(0x13, 0, 0), rec(0x11, 0x0A000000, 16), rec(0x11, 0x0A010000, 17),
+		rec(0x11, 0x0A000000, 15), rec(0x10, 0x0A01FFFF, 17))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
