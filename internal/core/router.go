@@ -1080,14 +1080,14 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 	shardRIB := r.rib.Shard(si)
 
 	for _, p := range u.Withdrawn {
-		_, had := shardRIB.CandidateOf(ps.info.Addr, p)
-		if r.damper != nil && had {
-			r.damper.Flap(ps.info.Addr, p)
-		}
-		if ch, ok := shardRIB.Withdraw(ps.info.Addr, p); ok {
+		ch, ok, had := shardRIB.WithdrawHad(ps.info.Addr, p)
+		if ok {
 			r.applyChange(si, ch, ops, s)
 		}
 		if had {
+			if r.damper != nil {
+				r.damper.Flap(ps.info.Addr, p)
+			}
 			ps.prefixCount.Add(-1)
 		}
 		*tx++
@@ -1125,8 +1125,8 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 			*tx++
 			continue
 		}
-		_, had := shardRIB.CandidateOf(ps.info.Addr, p)
-		if ch, ok := shardRIB.Announce(ps.info.Addr, p, attrs); ok {
+		ch, ok, had := shardRIB.AnnounceHad(ps.info.Addr, p, attrs)
+		if ok {
 			r.applyChange(si, ch, ops, s)
 		}
 		if !had {

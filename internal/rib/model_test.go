@@ -142,16 +142,18 @@ func runModel(t *testing.T, peers int, ops []byte) (maxCands, reAdds int) {
 		attrs := modelAttrs[arg>>3&7]
 		switch kind := op & 7; {
 		case kind < 4:
-			got, gok := r.Announce(pi.Addr, p, attrs)
+			wantHad := m.find(p, pi.Addr) >= 0
+			got, gok, had := r.AnnounceHad(pi.Addr, p, attrs)
 			want, wok := m.announce(pi.Addr, p, attrs)
-			if got != want || gok != wok {
-				t.Fatalf("step %d: Announce(%v, %v) = %s/%v, want %s/%v", step, pi.Addr, p, describe(got), gok, describe(want), wok)
+			if got != want || gok != wok || had != wantHad {
+				t.Fatalf("step %d: AnnounceHad(%v, %v) = %s/%v/%v, want %s/%v/%v", step, pi.Addr, p, describe(got), gok, had, describe(want), wok, wantHad)
 			}
 		case kind < 6:
-			got, gok := r.Withdraw(pi.Addr, p)
+			wantHad := m.find(p, pi.Addr) >= 0
+			got, gok, had := r.WithdrawHad(pi.Addr, p)
 			want, wok := m.withdraw(pi.Addr, p)
-			if got != want || gok != wok {
-				t.Fatalf("step %d: Withdraw(%v, %v) = %s/%v, want %s/%v", step, pi.Addr, p, describe(got), gok, describe(want), wok)
+			if got != want || gok != wok || had != wantHad {
+				t.Fatalf("step %d: WithdrawHad(%v, %v) = %s/%v/%v, want %s/%v/%v", step, pi.Addr, p, describe(got), gok, had, describe(want), wok, wantHad)
 			}
 		case kind == 6:
 			if _, ok := m.peers[pi.Addr]; ok {

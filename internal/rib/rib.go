@@ -126,23 +126,32 @@ func (r *RIB) Peers() []PeerInfo {
 // peer lifecycle is broken; a router under test must not die of it, so
 // the route is dropped and counted instead.
 func (r *RIB) Announce(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.PathAttrs) (Change, bool) {
+	ch, ok, _ := r.AnnounceHad(peer, prefix, attrs)
+	return ch, ok
+}
+
+// AnnounceHad is Announce that also reports whether the peer already had
+// a candidate for the prefix, which this announcement replaces, so a
+// caller counting each peer's prefixes needs no CandidateOf probe first.
+func (r *RIB) AnnounceHad(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.PathAttrs) (ch Change, changed, had bool) {
 	pi, ok := r.peerIdx[peer]
 	if !ok {
 		r.unregisteredDrops.Add(1)
-		return Change{}, false
+		return Change{}, false, false
 	}
 	r.decisions++
 	e, ok := r.loc[prefix]
 	if !ok {
 		e = slot{attrs: attrs, peer: pi}
 		r.loc[prefix] = e
-		return Change{Prefix: prefix, New: r.cand(e)}, true
+		return Change{Prefix: prefix, New: r.cand(e)}, true, false
 	}
 	old := e
 	switch {
 	case e.next == 0 && e.peer == pi:
 		// The sole candidate changed.
 		e.attrs = attrs
+		had = true
 	case e.next == 0:
 		// A second peer: both candidates move to the chain, first come first.
 		second := r.alloc(slot{attrs: attrs, peer: pi})
@@ -151,6 +160,7 @@ func (r *RIB) Announce(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.Pat
 	default:
 		if i := r.find(e.next, pi); i != 0 {
 			r.over[i].attrs = attrs
+			had = true
 		} else {
 			tail := r.tail(e.next)
 			i := r.alloc(slot{attrs: attrs, peer: pi})
@@ -159,31 +169,39 @@ func (r *RIB) Announce(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.Pat
 		r.decide(&e)
 	}
 	r.loc[prefix] = e
-	return r.change(prefix, old, e)
+	ch, changed = r.change(prefix, old, e)
+	return ch, changed, had
 }
 
 // Withdraw removes a peer's route for a prefix and re-runs the decision
 // process. Withdrawing a route that was never announced is a no-op.
 func (r *RIB) Withdraw(peer netaddr.Addr, prefix netaddr.Prefix) (Change, bool) {
+	ch, ok, _ := r.WithdrawHad(peer, prefix)
+	return ch, ok
+}
+
+// WithdrawHad is Withdraw that also reports whether the peer had a
+// candidate for the prefix, that is whether anything was removed.
+func (r *RIB) WithdrawHad(peer netaddr.Addr, prefix netaddr.Prefix) (ch Change, changed, had bool) {
 	pi, ok := r.peerIdx[peer]
 	if !ok {
-		return Change{}, false
+		return Change{}, false, false
 	}
 	e, ok := r.loc[prefix]
 	if !ok {
-		return Change{}, false
+		return Change{}, false, false
 	}
 	old := e
 	if e.next == 0 {
 		if e.peer != pi {
-			return Change{}, false
+			return Change{}, false, false
 		}
 		r.decisions++
 		delete(r.loc, prefix)
-		return Change{Prefix: prefix, Old: r.cand(old)}, true
+		return Change{Prefix: prefix, Old: r.cand(old)}, true, true
 	}
 	if !r.unlink(&e, pi) {
-		return Change{}, false
+		return Change{}, false, false
 	}
 	r.decisions++
 	if i := e.next; r.over[i].next == 0 {
@@ -194,7 +212,8 @@ func (r *RIB) Withdraw(peer netaddr.Addr, prefix netaddr.Prefix) (Change, bool) 
 		r.decide(&e)
 	}
 	r.loc[prefix] = e
-	return r.change(prefix, old, e)
+	ch, changed = r.change(prefix, old, e)
+	return ch, changed, true
 }
 
 // RemovePeer withdraws every route learned from the peer (session down)
