@@ -79,9 +79,10 @@ step_stress() {
 # 100k-prefix group rebuild is the large-table smoke: one full chunked
 # catch-up of a group table from the Loc-RIB. The footprint benchmarks
 # print the Loc-RIB's and the FIB's B/prefix for the benchmark's table
-# shapes; one iteration is their whole measurement. The session receive
-# benchmark backs the session.deliver stage (ns/msg, allocs/msg, at 1
-# and 500 prefixes per UPDATE).
+# shapes; one iteration is their whole measurement. BenchmarkPatriciaApply
+# backs the FIB commit stage (ns per FIB op, startup_small-shaped batches).
+# The session receive benchmark backs the session.deliver stage (ns/msg,
+# allocs/msg, at 1 and 500 prefixes per UPDATE).
 step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
 		-benchtime=1x ./internal/core/
@@ -90,7 +91,7 @@ step_bench_smoke() {
 	BGPBENCH_LOOKUP_N=50000 $GO test -run='^$' \
 		-bench 'BenchmarkLookup$|BenchmarkLookupV6$|BenchmarkLookupChurn' \
 		-benchtime=1x ./internal/fib/
-	$GO test -run='^$' -bench 'BenchmarkLocRIBFootprint|BenchmarkPatriciaFootprint' \
+	$GO test -run='^$' -bench 'BenchmarkLocRIBFootprint|BenchmarkPatriciaFootprint|BenchmarkPatriciaApply' \
 		-benchtime=1x ./internal/rib/ ./internal/fib/
 	$GO test -run='^$' -bench 'BenchmarkSessionReceive' -benchtime=1x ./internal/session/
 }
