@@ -255,3 +255,34 @@ neighbor 65001 { max-prefixes 50000 }
 		t.Fatalf("MaxPrefixes = %d", cfg.Neighbors[0].MaxPrefixes)
 	}
 }
+
+// TestParsedV6PrefixRuleGE: an IPv6 "ge" bound without "le" extends to
+// /128, as it extends to /32 for IPv4.
+func TestParsedV6PrefixRuleGE(t *testing.T) {
+	cfg, err := Parse(`
+router { as 65000; id 1.1.1.1 }
+prefix-list doc6 { permit 2001:db8::/32 ge 48 }
+route-map only-doc6 {
+    term t { match prefix-list doc6; action permit }
+    default deny
+}
+neighbor 65001 { import only-doc6 }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := cfg.Neighbors[0].Import
+	attrs := wire.NewPathAttrs(wire.OriginIGP, wire.NewASPath(65001), netaddr.MustParseAddr("2001:db8::1"))
+	for p, want := range map[string]bool{
+		"2001:db8::/32":      false, // shorter than ge
+		"2001:db8:1::/48":    true,
+		"2001:db8:1:2::/64":  true,
+		"2001:db8::1/128":    true,
+		"2001:db9:1::/48":    false, // outside the rule prefix
+		"2001:db8:8000::/47": false,
+	} {
+		if _, ok := imp.Apply(netaddr.MustParsePrefix(p), attrs); ok != want {
+			t.Errorf("%s: accepted = %v, want %v", p, ok, want)
+		}
+	}
+}

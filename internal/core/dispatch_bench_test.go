@@ -17,8 +17,13 @@ import (
 // On an update-groups router the peer joins its export policy's group.
 // Must run while the shard workers are idle.
 func benchPeer(r *Router, id netaddr.Addr, as uint32, export *policy.RouteMap) *peerState {
-	ps := r.register(rib.PeerInfo{Addr: id, ID: id, AS: as, EBGP: true},
-		NeighborConfig{AS: as, Export: export}, [2]bool{true, true}, false, r.nextGen(), &recorder{})
+	return benchPeerCfg(r, id, NeighborConfig{AS: as, Export: export})
+}
+
+// benchPeerCfg is benchPeer with the neighbor's whole configuration.
+func benchPeerCfg(r *Router, id netaddr.Addr, ncfg NeighborConfig) *peerState {
+	ps := r.register(rib.PeerInfo{Addr: id, ID: id, AS: ncfg.AS, EBGP: true},
+		ncfg, [2]bool{true, true}, false, r.nextGen(), &recorder{})
 	for i := 0; i < r.nshards; i++ {
 		r.processPeerUp(i, ps)
 	}
@@ -92,7 +97,10 @@ func BenchmarkDispatchUpdate(b *testing.B) {
 
 // BenchmarkProcessUpdate measures the shard worker's decision-process
 // core in isolation: processUpdateBatch called synchronously (no
-// workers, no channels) over single-prefix sub-updates.
+// workers, no channels) over single-prefix sub-updates, and over the
+// transit_large shape: 500-prefix UPDATEs of a DFZ-shaped table
+// announced and withdrawn in turn through an import and an export route
+// map to a receiver (one op is one UPDATE; ns/prefix is reported).
 func BenchmarkProcessUpdate(b *testing.B) {
 	peerID := netaddr.MustParseAddr("1.1.1.1")
 	for _, batch := range []int{1, 256} {
@@ -125,4 +133,25 @@ func BenchmarkProcessUpdate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("policy=sliver/prefixes=500", func(b *testing.B) {
+		r, injector, receiver := sliverRouter(b)
+		const n = 20_000
+		table := GenerateTable(TableGenConfig{N: n, Seed: 5, FirstAS: sliverInjectorAS, AttrGroups: n / 50})
+		cycle := append(Updates(table, injector.info.Addr, 500), Withdrawals(table, 500)...)
+		for i := range cycle { // warm-up: intern every path once
+			r.processUpdateBatch(0, injector, cycle[i:i+1])
+			drainOut([]*peerState{receiver})
+		}
+
+		b.ReportAllocs()
+		b.ResetTimer()
+		prefixes := 0
+		for i := 0; i < b.N; i++ {
+			u := cycle[i%len(cycle) : i%len(cycle)+1]
+			r.processUpdateBatch(0, injector, u)
+			drainOut([]*peerState{receiver})
+			prefixes += len(u[0].NLRI) + len(u[0].Withdrawn)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(prefixes), "ns/prefix")
+	})
 }

@@ -23,10 +23,14 @@ import (
 // of its own, marshaled once and queued to each, for a stream several
 // members share.
 
-// exportKey keys the memoized export transform.
+// exportKey keys the memoized export transform: the canonical input
+// attrs, the source session type and the export term Decide chose (-1:
+// none matched, or no policy). Everything else the transform reads is
+// fixed for the group.
 type exportKey struct {
 	attrs   *wire.PathAttrs
 	srcEBGP bool
+	term    int
 }
 
 // advert is one end of a table transition: what the group's table held
@@ -42,9 +46,10 @@ type advert struct {
 // transformations (own-AS prepend, next-hop-self) for a route toward a
 // group, returning an interned canonical pointer. None of it depends on
 // an individual recipient, which is why a group's members can share the
-// result. When the group has no export policy the transform is memoized
-// per (input attrs, source session type), so the per-prefix
-// clone+prepend collapses into a map hit after first sight.
+// result. Only the export policy's choice of term depends on the prefix,
+// so the transform is memoized per (input attrs, source session type,
+// term): the per-prefix clone+prepend+intern collapses into a map hit
+// after first sight.
 func (r *Router) exportRoute(si int, g *updateGroup, p netaddr.Prefix, c rib.Candidate) (*wire.PathAttrs, bool) {
 	// Never export a family the session did not negotiate.
 	if !g.afis[p.Family()] {
@@ -54,32 +59,27 @@ func (r *Router) exportRoute(si int, g *updateGroup, p netaddr.Prefix, c rib.Can
 	if !c.Peer.EBGP && !g.ebgp {
 		return nil, false
 	}
-	cache := g.shards[si].exportCache
-	cacheable := g.export == nil
-	key := exportKey{attrs: c.Attrs, srcEBGP: c.Peer.EBGP}
-	if cacheable {
-		if out, ok := cache[key]; ok {
-			return out, true
-		}
-	}
-	attrs, ok := g.export.Apply(p, *c.Attrs)
+	term, ok := g.export.Decide(p, c.Attrs)
 	if !ok {
 		return nil, false
 	}
-	var out *wire.PathAttrs
+	cache := g.shards[si].exportCache
+	key := exportKey{attrs: c.Attrs, srcEBGP: c.Peer.EBGP, term: term}
+	if out, ok := cache[key]; ok {
+		return out, true
+	}
+	// attrs may share slices with the canonical block: only whole fields
+	// are replaced below (Prepend builds a new path), and Intern copies
+	// what it keeps.
+	attrs := g.export.Transform(term, *c.Attrs)
 	if g.ebgp {
-		a := attrs.Clone()
-		a.ASPath = a.ASPath.Prepend(r.cfg.AS)
-		a.NextHop, a.HasNextHop = r.nextHopSelf(a), true
+		attrs.ASPath = attrs.ASPath.Prepend(r.cfg.AS)
+		attrs.NextHop, attrs.HasNextHop = r.nextHopSelf(attrs), true
 		// LOCAL_PREF is not sent on eBGP sessions.
-		a.HasLocalPref, a.LocalPref = false, 0
-		out = r.interner.Intern(a)
-	} else {
-		out = r.interner.Intern(attrs)
+		attrs.HasLocalPref, attrs.LocalPref = false, 0
 	}
-	if cacheable {
-		cache[key] = out
-	}
+	out := r.interner.Intern(attrs)
+	cache[key] = out
 	return out, true
 }
 

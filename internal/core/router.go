@@ -235,6 +235,9 @@ type shard struct {
 	dirty        []netaddr.Addr
 	recipients   []*peerState
 	gitems       []groupEmitItem
+	// importMemo holds one UPDATE's imported attrs per import term
+	// (processOneUpdate); reset at the start of every UPDATE.
+	importMemo []*wire.PathAttrs
 
 	// catchups is the queue of in-progress chunked group rebuilds and
 	// member replays, advanced whenever the work queue idles and forcibly
@@ -1100,21 +1103,36 @@ func (r *Router) processOneUpdate(si int, ps *peerState, u *wire.Update, ops *[]
 		*tx += uint64(len(u.NLRI))
 		return
 	}
-	// With no import policy the post-policy attrs are identical for every
-	// prefix in the message: intern once, share the canonical pointer.
-	var msgAttrs *wire.PathAttrs
-	if ps.cfg.Import == nil {
-		msgAttrs = r.interner.Intern(u.Attrs)
+	// Every prefix of the message shares its attrs, so the imported attrs
+	// depend only on the import term each prefix selects: transform and
+	// intern once per term (memo index term+1; index 0 is "no term", the
+	// only one a nil policy uses) and share the canonical pointer.
+	imp, slots := ps.cfg.Import, 1
+	if imp != nil {
+		slots += len(imp.Terms)
 	}
+	if cap(s.importMemo) < slots {
+		s.importMemo = make([]*wire.PathAttrs, slots)
+	}
+	memo := s.importMemo[:slots]
+	clear(memo)
 	for ni, p := range u.NLRI {
-		attrs := msgAttrs
+		term, ok := imp.Decide(p, &u.Attrs)
+		if !ok {
+			*tx++
+			continue
+		}
+		attrs := memo[term+1]
 		if attrs == nil {
-			a, ok := ps.cfg.Import.Apply(p, u.Attrs)
-			if !ok {
-				*tx++
-				continue
+			if term < 0 {
+				// No term: the attrs leave as they came. Interning them
+				// directly saves two copies of the block per UPDATE on
+				// the no-policy path.
+				attrs = r.interner.Intern(u.Attrs)
+			} else {
+				attrs = r.interner.Intern(imp.Transform(term, u.Attrs))
 			}
-			attrs = r.interner.Intern(a)
+			memo[term+1] = attrs
 		}
 		if r.damper != nil && r.dampAnnounce(shardRIB, ps.info.Addr, p, attrs) {
 			// Suppressed: the route must not be used; drop any candidate

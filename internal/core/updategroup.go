@@ -77,9 +77,13 @@ type groupShard struct {
 	members map[netaddr.Addr]*peerState
 	// sole is the member when there is exactly one, else nil.
 	sole *peerState
-	// exportCache memoizes the export transform keyed by canonical input
-	// attrs. Only consulted when the group has no export policy (policies
-	// may match on prefix, which the cache cannot key).
+	// exportCache memoizes the export transform (exportRoute), keyed by
+	// canonical input attrs, source session type and the export term
+	// chosen, which is all the transform depends on once the term is
+	// known: the prefix only picks the term. The group's export map is
+	// immutable, so entries never go stale; the cache holds at most
+	// interned paths × 2 × (terms+1) entries and starts empty again
+	// when a first member rejoins the partition.
 	exportCache map[exportKey]*wire.PathAttrs
 	// pending is the open MRAI window: for every prefix whose table entry
 	// changed in it, the entry before the first change (zero: absent).

@@ -31,8 +31,10 @@ func (a Action) String() string {
 }
 
 // PrefixRule matches prefixes covered by Prefix whose length lies in
-// [GE, LE]. GE/LE of 0 default to the prefix's own length and 32
-// respectively when Orlonger is set, or to exact match otherwise.
+// [GE, LE]. With neither bound set the rule matches Prefix exactly. An
+// unset GE defaults to Prefix's own length; an unset LE defaults to the
+// family's full length (32 for IPv4, 128 for IPv6) when GE is set, and
+// to GE's default otherwise.
 type PrefixRule struct {
 	Prefix netaddr.Prefix
 	GE, LE int // inclusive length bounds; 0 means "unset"
@@ -49,7 +51,7 @@ func (r PrefixRule) Matches(p netaddr.Prefix) bool {
 		if r.GE == 0 {
 			le = r.Prefix.Len() // exact match by default
 		} else {
-			le = 32
+			le = r.Prefix.Bits()
 		}
 	}
 	if p.Len() < ge || p.Len() > le {
@@ -144,8 +146,9 @@ type Match struct {
 	MED        *uint32          // exact MED
 }
 
-// Matches evaluates the condition on a route.
-func (m Match) Matches(p netaddr.Prefix, a wire.PathAttrs) bool {
+// Matches evaluates the condition on a route. The attributes are read
+// through a pointer and never modified.
+func (m *Match) Matches(p netaddr.Prefix, a *wire.PathAttrs) bool {
 	if m.PrefixList != nil && !m.PrefixList.Permits(p) {
 		return false
 	}
@@ -223,32 +226,51 @@ type Term struct {
 
 // RouteMap is an ordered policy: terms are evaluated in sequence and the
 // first matching term decides. A route matching no term is denied, unless
-// DefaultPermit is set (useful for "modify everything" maps).
+// DefaultPermit is set (useful for "modify everything" maps). A map is
+// immutable once handed to a router: the router shares it between
+// goroutines and memoizes its Transform results.
 type RouteMap struct {
 	Name          string
 	Terms         []Term
 	DefaultPermit bool
 }
 
-// Apply evaluates the map on a route, returning the (possibly transformed)
-// attributes and whether the route is accepted.
-func (m *RouteMap) Apply(p netaddr.Prefix, a wire.PathAttrs) (wire.PathAttrs, bool) {
+// Decide evaluates the map's conditions on a route: it returns the index
+// of the first term whose Match holds, or -1 when none does, and whether
+// the route is accepted. A nil map decides (-1, true). Only this choice
+// depends on the prefix; what the route leaves with is Transform of the
+// choice, a function of the attributes alone, which is what lets a
+// caller compute it once per distinct (attributes, term).
+func (m *RouteMap) Decide(p netaddr.Prefix, a *wire.PathAttrs) (term int, accept bool) {
 	if m == nil {
-		return a, true // no policy: accept unchanged
+		return -1, true // no policy: accept unchanged
 	}
-	for _, t := range m.Terms {
-		if !t.Match.Matches(p, a) {
-			continue
+	for i := range m.Terms {
+		t := &m.Terms[i]
+		if t.Match.Matches(p, a) {
+			return i, t.Action == Permit
 		}
-		if t.Action == Deny {
-			return a, false
-		}
-		return t.Set.Apply(a), true
 	}
-	if m.DefaultPermit {
-		return a, true
+	return -1, m.DefaultPermit
+}
+
+// Transform returns the attributes as term, a result of m.Decide, leaves
+// them: the term's Set applied to a copy for a permit term, a itself for
+// a deny term and for -1 (no term matched, which is all a nil map
+// decides). It is small enough to inline, so the no-term case costs no
+// call.
+func (m *RouteMap) Transform(term int, a wire.PathAttrs) wire.PathAttrs {
+	if term >= 0 && m.Terms[term].Action == Permit {
+		return m.Terms[term].Set.Apply(a)
 	}
-	return a, false
+	return a
+}
+
+// Apply evaluates the map on a route, returning the (possibly transformed)
+// attributes and whether the route is accepted: Transform of Decide.
+func (m *RouteMap) Apply(p netaddr.Prefix, a wire.PathAttrs) (wire.PathAttrs, bool) {
+	term, ok := m.Decide(p, &a)
+	return m.Transform(term, a), ok
 }
 
 // String summarizes the route map for diagnostics.

@@ -52,6 +52,37 @@ func TestPrefixRuleGEOnly(t *testing.T) {
 	}
 }
 
+// TestPrefixRuleDefaultLE: with GE set and LE unset, the upper bound is
+// the family's full length, so an IPv6 rule matches past /32.
+func TestPrefixRuleDefaultLE(t *testing.T) {
+	cases := []struct {
+		rule   string
+		ge, le int
+		p      string
+		want   bool
+	}{
+		{"10.0.0.0/8", 16, 0, "10.1.0.0/16", true},
+		{"10.0.0.0/8", 16, 0, "10.1.2.3/32", true},
+		{"10.0.0.0/8", 16, 0, "10.0.0.0/15", false},
+		{"10.0.0.0/8", 0, 0, "10.1.0.0/16", false}, // no bounds: exact
+		{"2001:db8::/32", 48, 0, "2001:db8:1::/48", true},
+		{"2001:db8::/32", 48, 0, "2001:db8:1:2::/64", true},
+		{"2001:db8::/32", 48, 0, "2001:db8:1:2::1/128", true},
+		{"2001:db8::/32", 48, 0, "2001:db8::/47", false},
+		{"2001:db8::/32", 48, 0, "2001:db9::/48", false}, // outside
+		{"2001:db8::/32", 48, 56, "2001:db8:1:2::/64", false},
+		{"2001:db8::/32", 0, 0, "2001:db8::/32", true},
+		{"2001:db8::/32", 0, 0, "2001:db8::/33", false},
+		{"2001:db8::/32", 0, 0, "10.0.0.0/8", false}, // other family
+	}
+	for _, c := range cases {
+		r := PrefixRule{Prefix: netaddr.MustParsePrefix(c.rule), GE: c.ge, LE: c.le}
+		if got := r.Matches(netaddr.MustParsePrefix(c.p)); got != c.want {
+			t.Errorf("%s ge %d le %d: Matches(%s) = %v, want %v", c.rule, c.ge, c.le, c.p, got, c.want)
+		}
+	}
+}
+
 func TestPrefixListFirstMatchWins(t *testing.T) {
 	l := &PrefixList{Name: "test", Rules: []PrefixRule{
 		{Prefix: netaddr.MustParsePrefix("10.1.0.0/16"), GE: 16, LE: 32, Action: Deny},
@@ -227,22 +258,22 @@ func TestMatchConjunction(t *testing.T) {
 	a.Communities = []wire.Community{wire.CommunityFrom(5, 5)}
 	a.HasMED, a.MED = true, 10
 	p := netaddr.MustParsePrefix("10.0.0.0/8")
-	if !m.Matches(p, a) {
+	if !m.Matches(p, &a) {
 		t.Fatal("all conditions hold; should match")
 	}
 	b := a.Clone()
 	b.MED = 11
-	if m.Matches(p, b) {
+	if m.Matches(p, &b) {
 		t.Error("MED mismatch should fail")
 	}
 	b = a.Clone()
 	b.Communities = nil
-	if m.Matches(p, b) {
+	if m.Matches(p, &b) {
 		t.Error("missing community should fail")
 	}
 	b = a.Clone()
 	b.NextHop = netaddr.MustParseAddr("10.0.0.1")
-	if m.Matches(p, b) {
+	if m.Matches(p, &b) {
 		t.Error("next hop outside range should fail")
 	}
 }

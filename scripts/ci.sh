@@ -83,6 +83,9 @@ step_stress() {
 # backs the FIB commit stage (ns per FIB op, startup_small-shaped batches).
 # The session receive benchmark backs the session.deliver stage (ns/msg,
 # allocs/msg, at 1 and 500 prefixes per UPDATE).
+# BenchmarkProcessUpdate/policy=sliver/prefixes=500 backs the policy
+# stages: transit_large-shaped UPDATEs through an import and an export
+# route map to a receiver (ns/prefix, allocs per 500-prefix UPDATE).
 step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
 		-benchtime=1x ./internal/core/
