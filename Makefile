@@ -6,7 +6,7 @@ GO ?= go
 GOFMT ?= gofmt
 export GO GOFMT
 
-STEPS := build fmt vet lint race conformance stress bench-smoke benchmark test
+STEPS := build fmt vet lint race conformance stress fuzz bench-smoke benchmark test
 
 .PHONY: all check lint-allows bench $(STEPS)
 

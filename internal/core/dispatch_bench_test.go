@@ -100,7 +100,9 @@ func BenchmarkDispatchUpdate(b *testing.B) {
 // workers, no channels) over single-prefix sub-updates, and over the
 // transit_large shape: 500-prefix UPDATEs of a DFZ-shaped table
 // announced and withdrawn in turn through an import and an export route
-// map to a receiver (one op is one UPDATE; ns/prefix is reported).
+// map to a receiver (one op is one UPDATE; ns/prefix is reported). The
+// 20k-prefix table fits in cache; the 400k one is transit_large's size,
+// where every table access is a cache miss.
 func BenchmarkProcessUpdate(b *testing.B) {
 	peerID := netaddr.MustParseAddr("1.1.1.1")
 	for _, batch := range []int{1, 256} {
@@ -133,25 +135,32 @@ func BenchmarkProcessUpdate(b *testing.B) {
 			}
 		})
 	}
-	b.Run("policy=sliver/prefixes=500", func(b *testing.B) {
-		r, injector, receiver := sliverRouter(b)
-		const n = 20_000
-		table := GenerateTable(TableGenConfig{N: n, Seed: 5, FirstAS: sliverInjectorAS, AttrGroups: n / 50})
-		cycle := append(Updates(table, injector.info.Addr, 500), Withdrawals(table, 500)...)
-		for i := range cycle { // warm-up: intern every path once
-			r.processUpdateBatch(0, injector, cycle[i:i+1])
-			drainOut([]*peerState{receiver})
-		}
+	for _, n := range []int{20_000, 400_000} {
+		b.Run(fmt.Sprintf("policy=sliver/prefixes=500/table=%dk", n/1000), func(b *testing.B) {
+			benchSliver(b, n)
+		})
+	}
+}
 
-		b.ReportAllocs()
-		b.ResetTimer()
-		prefixes := 0
-		for i := 0; i < b.N; i++ {
-			u := cycle[i%len(cycle) : i%len(cycle)+1]
-			r.processUpdateBatch(0, injector, u)
-			drainOut([]*peerState{receiver})
-			prefixes += len(u[0].NLRI) + len(u[0].Withdrawn)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(prefixes), "ns/prefix")
-	})
+// benchSliver is BenchmarkProcessUpdate's transit_large-shaped case over
+// an n-prefix table.
+func benchSliver(b *testing.B, n int) {
+	r, injector, receiver := sliverRouter(b)
+	table := GenerateTable(TableGenConfig{N: n, Seed: 5, FirstAS: sliverInjectorAS, AttrGroups: n / 50})
+	cycle := append(Updates(table, injector.info.Addr, 500), Withdrawals(table, 500)...)
+	for i := range cycle { // warm-up: intern every path once
+		r.processUpdateBatch(0, injector, cycle[i:i+1])
+		drainOut([]*peerState{receiver})
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	prefixes := 0
+	for i := 0; i < b.N; i++ {
+		u := cycle[i%len(cycle) : i%len(cycle)+1]
+		r.processUpdateBatch(0, injector, u)
+		drainOut([]*peerState{receiver})
+		prefixes += len(u[0].NLRI) + len(u[0].Withdrawn)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(prefixes), "ns/prefix")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"bgpbench/internal/netaddr"
@@ -37,6 +38,10 @@ type exportKey struct {
 // for a prefix (nil attrs: nothing) and the peer the route was learned
 // from. The table itself stores no originator (see rib.AdjOut); a
 // transition takes its two from the Loc-RIB change that caused it.
+//
+// Transitions, the MRAI pending set and catch-up snapshots name a prefix,
+// never its Loc-RIB id: they outlive the batch that made them, and an id
+// freed in between may belong to another prefix by the time they are read.
 type advert struct {
 	attrs  *wire.PathAttrs
 	origin netaddr.Addr
@@ -109,12 +114,21 @@ func (r *Router) snapshotEmitTargets(s *shard) {
 
 // applyToTable is the table step for one Loc-RIB transition: export the
 // new best once for the whole group and record it in shard si's
-// partition of the group's Adj-RIB-Out; whatever cannot be exported
-// withdraws the entry. A route no member can see — its originator is the
-// group's only member — is not exported or stored at all, which is what
-// makes a group of one cost what a peer's own table did. A group with no
-// members on the shard is skipped entirely: its table goes stale and is
-// rebuilt from the Loc-RIB when a first member joins again.
+// partition of the group's Adj-RIB-Out, under the change's Loc-RIB id;
+// whatever cannot be exported withdraws the entry. A route no member can
+// see — its originator is the group's only member — is not exported or
+// stored at all, which is what makes a group of one cost what a peer's
+// own table did. A group with no members on the shard has no table
+// (leaveGroup dropped it) and is skipped; a first member joining again
+// gets a fresh one rebuilt from the Loc-RIB.
+//
+// Id lifetime: the Loc-RIB frees a prefix's id when the prefix leaves it
+// and may hand the id to the next new prefix. applyChange runs this step
+// for every group with members on the shard right after the change that
+// freed the id, before the RIB's next Announce, and that change clears
+// the id's entry here. So every entry of a live table is under an id the
+// Loc-RIB holds, for the prefix it was written for; no count per id is
+// needed.
 func (r *Router) applyToTable(si int, s *shard, g *updateGroup, ch rib.Change) {
 	sh := &g.shards[si]
 	if len(sh.members) == 0 {
@@ -128,9 +142,9 @@ func (r *Router) applyToTable(si int, s *shard, g *updateGroup, ch rib.Change) {
 	}
 	var changed bool
 	if it.new.attrs != nil {
-		it.old.attrs, changed = sh.adjOut.Advertise(ch.Prefix, it.new.attrs)
+		it.old.attrs, changed = sh.adjOut.Advertise(ch.ID, it.new.attrs)
 	} else {
-		it.old.attrs, changed = sh.adjOut.Withdraw(ch.Prefix)
+		it.old.attrs, changed = sh.adjOut.Withdraw(ch.ID)
 	}
 	// An entry is the export of the Loc-RIB best, so the one this
 	// transition replaces was learned from ch.Old's peer. The same bytes
@@ -294,27 +308,33 @@ func (r *Router) mraiTicker() {
 
 // flushMRAI closes shard si's MRAI window on g's table and emits each
 // held prefix's net transition, first-old to the table's current entry
-// (whose originator is the Loc-RIB best's). A prefix that returned to
-// where the window found it is suppressed and counted.
+// (whose originator is the Loc-RIB best's), in prefix order like every
+// other walk, so one window always packs into the same UPDATEs. A prefix
+// that returned to where the window found it is suppressed and counted.
 func (r *Router) flushMRAI(si int, s *shard, g *updateGroup) {
 	sh := &g.shards[si]
 	if len(sh.pending) == 0 {
 		return
 	}
-	pending := sh.pending
-	sh.pending = nil
-	shardRIB := r.rib.Shard(si)
 	items := s.gitems[:0]
-	for p, old := range pending {
-		var cur advert
-		if attrs, ok := sh.adjOut.Lookup(p); ok {
-			cur = advert{attrs: attrs, origin: shardRIB.Origin(p)}
+	for p, old := range sh.pending {
+		items = append(items, groupEmitItem{prefix: p, old: old})
+	}
+	sh.pending = nil
+	slices.SortFunc(items, func(a, b groupEmitItem) int { return a.prefix.Compare(b.prefix) })
+	shardRIB, n := r.rib.Shard(si), 0
+	for _, it := range items {
+		if id, best, ok := shardRIB.Entry(it.prefix); ok {
+			if attrs, ok := sh.adjOut.Lookup(id); ok {
+				it.new = advert{attrs: attrs, origin: best.Peer.Addr}
+			}
 		}
-		if cur != old {
-			items = append(items, groupEmitItem{prefix: p, old: old, new: cur})
+		if it.new != it.old {
+			items[n] = it
+			n++
 		}
 	}
-	r.mraiSuppressed.Add(uint64(len(pending) - len(items)))
-	r.fanOutItems(si, g, items)
+	r.mraiSuppressed.Add(uint64(len(items) - n))
+	r.fanOutItems(si, g, items[:n])
 	s.gitems = items[:0]
 }

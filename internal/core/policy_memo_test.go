@@ -112,7 +112,7 @@ func TestPolicyTermsSplitSharedAttrs(t *testing.T) {
 	var inImport, inExport int
 	for _, rt := range table {
 		p := rt.Prefix
-		cand, ok := r.rib.Shard(0).Lookup(p)
+		id, cand, ok := r.rib.Shard(0).Entry(p)
 		if !ok {
 			t.Fatalf("%v missing from the Loc-RIB", p)
 		}
@@ -128,7 +128,7 @@ func TestPolicyTermsSplitSharedAttrs(t *testing.T) {
 			inExport++
 		}
 		for _, ps := range []*peerState{receiver, late} {
-			a, ok := ps.group.shards[0].adjOut.Lookup(p)
+			a, ok := ps.group.shards[0].adjOut.Lookup(id)
 			if !ok {
 				t.Fatalf("%v missing from %v's group table", p, ps.info.Addr)
 			}

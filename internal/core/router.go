@@ -585,7 +585,7 @@ func (r *Router) adjRoutes(si int, s *shard, peerID netaddr.Addr) (routes []AdjR
 		return nil
 	}
 	r.drainGroupCatchups(si, s, ps.group)
-	ps.group.shards[si].adjOut.WalkMember(peerID, r.rib.Shard(si).Origin, func(p netaddr.Prefix, attrs *wire.PathAttrs) bool {
+	ps.group.shards[si].adjOut.WalkMember(r.rib.Shard(si), peerID, func(p netaddr.Prefix, attrs *wire.PathAttrs) bool {
 		routes = append(routes, AdjRoute{Prefix: p, Attrs: attrs})
 		return true
 	})

@@ -69,11 +69,12 @@ type updateGroup struct {
 
 // groupShard is shard i's partition of a group: its Adj-RIB-Out, its
 // current members, and what emitting from the table needs. Touched only
-// by shard worker i.
+// by shard worker i. A partition without members is the zero value: no
+// table at all.
 //
 //bgplint:owned-by shard-worker
 type groupShard struct {
-	adjOut  *rib.AdjOut
+	adjOut  *rib.AdjOut // a column indexed by the shard Loc-RIB's ids
 	members map[netaddr.Addr]*peerState
 	// sole is the member when there is exactly one, else nil.
 	sole *peerState
@@ -356,13 +357,19 @@ func (r *Router) joinGroup(si int, ps *peerState) {
 // withdrawals fan out only to the surviving members, and drops the
 // catch-ups that can no longer deliver anything: the member's own
 // replay, and — once the shard has no members — any rebuild of the
-// group's table (a future first member resets the table and schedules a
-// fresh one).
+// group's table. The last member to leave drops the partition's table,
+// export memo and MRAI window with it: a table no change is applied to
+// would keep entries under ids the Loc-RIB frees and reuses (see
+// applyToTable). A future first member starts a fresh table and
+// schedules a rebuild.
 func (r *Router) leaveGroup(si int, ps *peerState) {
 	g := ps.group
 	sh := &g.shards[si]
 	sh.setMember(ps.info.Addr, nil)
 	empty := len(sh.members) == 0
+	if empty {
+		*sh = groupShard{}
+	}
 	r.shards[si].catchups = slices.DeleteFunc(r.shards[si].catchups, func(c *groupCatchup) bool {
 		return c.member == ps || (c.g == g && empty)
 	})
@@ -400,7 +407,7 @@ func (r *Router) scheduleCatchup(si int, g *updateGroup, member *peerState) {
 	if member == nil {
 		pfx = r.rib.Shard(si).LocPrefixesInto(nil)
 	} else {
-		pfx = g.shards[si].adjOut.PrefixesInto(nil)
+		pfx = g.shards[si].adjOut.PrefixesInto(r.rib.Shard(si), nil)
 	}
 	if len(pfx) == 0 {
 		return
@@ -469,7 +476,7 @@ func (r *Router) rebuildChunk(si int, g *updateGroup, keys []netaddr.Prefix) {
 	s, sh, shardRIB := r.shards[si], &g.shards[si], r.rib.Shard(si)
 	items := s.gitems[:0]
 	for _, p := range keys {
-		cand, ok := shardRIB.Lookup(p)
+		id, cand, ok := shardRIB.Entry(p)
 		if !ok || !sh.visible(cand.Peer.Addr) {
 			continue
 		}
@@ -479,7 +486,7 @@ func (r *Router) rebuildChunk(si int, g *updateGroup, keys []netaddr.Prefix) {
 		}
 		// An entry always mirrors the current best, so one that changes
 		// here was absent.
-		if _, changed := sh.adjOut.Advertise(p, attrs); changed {
+		if _, changed := sh.adjOut.Advertise(id, attrs); changed {
 			items = append(items, groupEmitItem{prefix: p, new: advert{attrs: attrs, origin: cand.Peer.Addr}})
 		}
 	}
@@ -494,7 +501,11 @@ func (r *Router) replayChunk(si int, member *peerState, keys []netaddr.Prefix) {
 	s, sh, shardRIB := r.shards[si], &member.group.shards[si], r.rib.Shard(si)
 	s.acts = s.acts[:0]
 	for _, p := range keys {
-		if attrs, ok := sh.adjOut.Lookup(p); ok && shardRIB.Origin(p) != member.info.Addr {
+		id, best, ok := shardRIB.Entry(p)
+		if !ok || best.Peer.Addr == member.info.Addr {
+			continue
+		}
+		if attrs, ok := sh.adjOut.Lookup(id); ok {
 			s.acts = append(s.acts, emitItem{prefix: p, attrs: attrs})
 		}
 	}

@@ -13,6 +13,7 @@
 package netaddr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -393,13 +394,15 @@ func (a Addr) Less(b Addr) bool { return a.Compare(b) < 0 }
 // ErrBadPrefix reports a syntactically or semantically invalid prefix.
 var ErrBadPrefix = errors.New("netaddr: invalid prefix")
 
-// Prefix is a CIDR prefix of either family. The address component is
-// stored already masked to the prefix length, so Prefix values compare
-// with == (and differ across families even at equal bit patterns, since
-// the address carries its family tag).
+// Prefix is a CIDR prefix of either family. The address bits are stored
+// already masked to the prefix length, beside one word packing family and
+// length (fam<<8 | len), so Prefix values compare with == (and differ
+// across families even at equal bit patterns). The three words leave no
+// padding, so a Prefix map key is hashed and compared as 24 plain bytes.
+// The zero value is the IPv4 default route 0.0.0.0/0.
 type Prefix struct {
-	addr Addr
-	len  uint8
+	hi, lo uint64
+	meta   uint64 // fam<<8 | len
 }
 
 // PrefixFrom builds a prefix, masking the address to the given length.
@@ -411,7 +414,8 @@ func PrefixFrom(a Addr, length int) Prefix {
 	if max := a.Bits(); length > max {
 		length = max
 	}
-	return Prefix{addr: a.Masked(length), len: uint8(length)}
+	m := a.Masked(length)
+	return Prefix{hi: m.hi, lo: m.lo, meta: uint64(a.fam)<<8 | uint64(length)}
 }
 
 // ParsePrefix parses "addr/len" notation for either family.
@@ -442,67 +446,65 @@ func MustParsePrefix(s string) Prefix {
 }
 
 // Addr returns the (masked) network address.
-func (p Prefix) Addr() Addr { return p.addr }
+func (p Prefix) Addr() Addr { return Addr{hi: p.hi, lo: p.lo, fam: p.Family()} }
 
 // Len returns the prefix length in bits.
-func (p Prefix) Len() int { return int(p.len) }
+func (p Prefix) Len() int { return int(uint8(p.meta)) }
 
 // Family returns the prefix's address family.
-func (p Prefix) Family() Family { return p.addr.fam }
+func (p Prefix) Family() Family { return Family(p.meta >> 8) }
 
 // Bits returns the family address width: 32 or 128.
-func (p Prefix) Bits() int { return p.addr.Bits() }
+func (p Prefix) Bits() int { return p.Family().Bits() }
 
 // Contains reports whether the address falls inside the prefix. An
 // address of the other family never does.
 func (p Prefix) Contains(a Addr) bool {
-	return a.fam == p.addr.fam && a.Masked(int(p.len)) == p.addr
+	return a.fam == p.Family() && a.Masked(p.Len()) == p.Addr()
 }
 
 // Overlaps reports whether two prefixes share any address.
 func (p Prefix) Overlaps(q Prefix) bool {
-	if p.len <= q.len {
-		return p.Contains(q.addr)
+	if p.Len() <= q.Len() {
+		return p.Contains(q.Addr())
 	}
-	return q.Contains(p.addr)
+	return q.Contains(p.Addr())
 }
 
 // String renders "addr/len".
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.addr, p.len)
+	return fmt.Sprintf("%s/%d", p.Addr(), p.Len())
 }
 
 // Compare orders prefixes by family (IPv4 before IPv6), then by address,
 // then by length. It returns -1, 0, or +1. This is the canonical ordering
 // used by RIB iteration so that update streams are deterministic.
 func (p Prefix) Compare(q Prefix) int {
-	if c := p.addr.Compare(q.addr); c != 0 {
+	if c := cmp.Compare(p.meta>>8, q.meta>>8); c != 0 {
 		return c
 	}
-	switch {
-	case p.len < q.len:
-		return -1
-	case p.len > q.len:
-		return 1
+	if c := cmp.Compare(p.hi, q.hi); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(p.lo, q.lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(uint8(p.meta), uint8(q.meta))
 }
 
 // Sibling returns the prefix covering the adjacent half of the parent
 // /(len-1): the same prefix with its last network bit flipped. The
 // zero-length prefix is its own sibling.
 func (p Prefix) Sibling() Prefix {
-	if p.len == 0 {
-		return p
+	i := p.Len() - 1
+	switch {
+	case i < 0:
+	case i < 64:
+		p.hi ^= 1 << (63 - uint(i))
+	default:
+		p.lo ^= 1 << (127 - uint(i))
 	}
-	a := p.addr
-	i := int(p.len) - 1
-	if i < 64 {
-		a.hi ^= 1 << (63 - uint(i))
-	} else {
-		a.lo ^= 1 << (127 - uint(i))
-	}
-	return Prefix{addr: a, len: p.len}
+	return p
 }
 
 // Host returns an address inside the prefix whose host bits are filled
@@ -510,8 +512,8 @@ func (p Prefix) Sibling() Prefix {
 // It is the deterministic "random host within prefix" helper the lookup
 // workload generators use.
 func (p Prefix) Host(rnd uint64) Addr {
-	a := p.addr
-	host := p.Bits() - int(p.len)
+	a := p.Addr()
+	host := p.Bits() - p.Len()
 	if host <= 0 {
 		return a
 	}
@@ -533,7 +535,7 @@ func (p Prefix) Host(rnd uint64) Addr {
 // WireLen returns the number of NLRI payload bytes needed to encode the
 // prefix address ((len+7)/8), excluding the length octet itself.
 func (p Prefix) WireLen() int {
-	return (int(p.len) + 7) / 8
+	return (p.Len() + 7) / 8
 }
 
 // AppendWire appends the RFC 4271 NLRI encoding (length octet followed by
@@ -541,15 +543,14 @@ func (p Prefix) WireLen() int {
 // IPv6 prefixes inside MP_REACH_NLRI/MP_UNREACH_NLRI (RFC 4760); the
 // address family is identified by the surrounding attribute's AFI.
 func (p Prefix) AppendWire(dst []byte) []byte {
-	dst = append(dst, p.len)
+	dst = append(dst, uint8(p.meta))
 	n := p.WireLen()
-	a := p.addr
 	for i := 0; i < n; i++ {
 		var b byte
 		if i < 8 {
-			b = byte(a.hi >> uint(56-8*i))
+			b = byte(p.hi >> uint(56-8*i))
 		} else {
-			b = byte(a.lo >> uint(120-8*i))
+			b = byte(p.lo >> uint(120-8*i))
 		}
 		dst = append(dst, b)
 	}

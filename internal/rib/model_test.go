@@ -120,47 +120,112 @@ var (
 	}()
 )
 
+// modelIDs follows the Loc-RIB ids the RIB reports in its changes. The
+// reference has no ids, so it checks what they must satisfy: a prefix
+// keeps its id while it has a best route, no two such prefixes share one,
+// and a change names the id the RIB files the prefix under.
+type modelIDs struct {
+	live   map[netaddr.Prefix]uint32 // id of every prefix with a best route
+	owner  map[uint32]netaddr.Prefix // last prefix each id was given to
+	reused int                       // ids given to a prefix other than their last
+}
+
+func newModelIDs() *modelIDs {
+	return &modelIDs{live: map[netaddr.Prefix]uint32{}, owner: map[uint32]netaddr.Prefix{}}
+}
+
+// note checks one change's id against the prefixes' ids so far and
+// records it.
+func (ids *modelIDs) note(t *testing.T, step int, ch Change) {
+	t.Helper()
+	prev, live := ids.live[ch.Prefix]
+	switch {
+	case live && ch.ID != prev:
+		t.Fatalf("step %d: change %s moved %v from id %d to %d", step, describe(ch), ch.Prefix, prev, ch.ID)
+	case ch.New.Attrs == nil:
+		delete(ids.live, ch.Prefix)
+		return
+	case !live:
+		for q, id := range ids.live {
+			if id == ch.ID {
+				t.Fatalf("step %d: new prefix %v took id %d, still held by %v", step, ch.Prefix, id, q)
+			}
+		}
+		if o, seen := ids.owner[ch.ID]; seen && o != ch.Prefix {
+			ids.reused++
+		}
+		ids.owner[ch.ID] = ch.Prefix
+	}
+	ids.live[ch.Prefix] = ch.ID
+}
+
+// noID strips a change's id for comparison with the reference's.
+func noID(ch Change) Change {
+	ch.ID = 0
+	return ch
+}
+
 // runModel interprets ops two bytes at a time against a RIB and refRIB.
 // The first byte picks the operation (bits 0-2: announce 0-3, withdraw
 // 4-5, RemovePeer 6, AddPeer 7) and the peer (bits 3-4); the second picks
 // the prefix (bits 0-2) and the attribute set (bits 3-5). Every result is
 // compared as it is returned, and the whole table after every operation.
-// It reports the most candidates any prefix held and how many peers were
-// registered again after a removal.
-func runModel(t *testing.T, peers int, ops []byte) (maxCands, reAdds int) {
+// The stream ends with every route withdrawn and the prefixes announced
+// again in reverse order, so each one comes back under an id another
+// held. It reports the most candidates any prefix held, how many peers
+// were registered again after a removal and how many ids were reused.
+func runModel(t *testing.T, peers int, ops []byte) (maxCands, reAdds, reused int) {
 	t.Helper()
-	r, m := New(), newRefRIB()
+	r, m, ids := New(), newRefRIB(), newModelIDs()
 	removed := map[netaddr.Addr]bool{}
 	for i := 0; i < peers; i++ {
 		r.AddPeer(modelPeers[i])
 		m.peers[modelPeers[i].Addr] = modelPeers[i]
 	}
-	for step := 0; step+1 < len(ops); step += 2 {
+	announce := func(step int, pi PeerInfo, p netaddr.Prefix, attrs *wire.PathAttrs) {
+		wantHad := m.find(p, pi.Addr) >= 0
+		got, gok, had := r.AnnounceHad(pi.Addr, p, attrs)
+		want, wok := m.announce(pi.Addr, p, attrs)
+		if noID(got) != want || gok != wok || had != wantHad {
+			t.Fatalf("step %d: AnnounceHad(%v, %v) = %s/%v/%v, want %s/%v/%v", step, pi.Addr, p, describe(got), gok, had, describe(want), wok, wantHad)
+		}
+		if gok {
+			ids.note(t, step, got)
+		}
+	}
+	withdraw := func(step int, pi PeerInfo, p netaddr.Prefix) {
+		wantHad := m.find(p, pi.Addr) >= 0
+		got, gok, had := r.WithdrawHad(pi.Addr, p)
+		want, wok := m.withdraw(pi.Addr, p)
+		if noID(got) != want || gok != wok || had != wantHad {
+			t.Fatalf("step %d: WithdrawHad(%v, %v) = %s/%v/%v, want %s/%v/%v", step, pi.Addr, p, describe(got), gok, had, describe(want), wok, wantHad)
+		}
+		if gok {
+			ids.note(t, step, got)
+		}
+	}
+	step := 0
+	for ; step+1 < len(ops); step += 2 {
 		op, arg := ops[step], ops[step+1]
 		pi := modelPeers[op>>3&3]
 		p := modelPrefixes[arg&7]
 		attrs := modelAttrs[arg>>3&7]
 		switch kind := op & 7; {
 		case kind < 4:
-			wantHad := m.find(p, pi.Addr) >= 0
-			got, gok, had := r.AnnounceHad(pi.Addr, p, attrs)
-			want, wok := m.announce(pi.Addr, p, attrs)
-			if got != want || gok != wok || had != wantHad {
-				t.Fatalf("step %d: AnnounceHad(%v, %v) = %s/%v/%v, want %s/%v/%v", step, pi.Addr, p, describe(got), gok, had, describe(want), wok, wantHad)
-			}
+			announce(step, pi, p, attrs)
 		case kind < 6:
-			wantHad := m.find(p, pi.Addr) >= 0
-			got, gok, had := r.WithdrawHad(pi.Addr, p)
-			want, wok := m.withdraw(pi.Addr, p)
-			if got != want || gok != wok || had != wantHad {
-				t.Fatalf("step %d: WithdrawHad(%v, %v) = %s/%v/%v, want %s/%v/%v", step, pi.Addr, p, describe(got), gok, had, describe(want), wok, wantHad)
-			}
+			withdraw(step, pi, p)
 		case kind == 6:
 			if _, ok := m.peers[pi.Addr]; ok {
 				removed[pi.Addr] = true
 			}
 			got, want := r.RemovePeer(pi.Addr), m.removePeer(pi.Addr)
-			if !slices.Equal(got, want) {
+			stripped := make([]Change, len(got))
+			for i, ch := range got {
+				stripped[i] = noID(ch)
+				ids.note(t, step, ch)
+			}
+			if !slices.Equal(stripped, want) {
 				t.Fatalf("step %d: RemovePeer(%v) = %s, want %s", step, pi.Addr, describeAll(got), describeAll(want))
 			}
 		default:
@@ -170,9 +235,22 @@ func runModel(t *testing.T, peers int, ops []byte) (maxCands, reAdds int) {
 			r.AddPeer(pi)
 			m.peers[pi.Addr] = pi
 		}
-		maxCands = max(maxCands, checkAgainstModel(t, step, r, m))
+		maxCands = max(maxCands, checkAgainstModel(t, step, r, m, ids))
 	}
-	return maxCands, reAdds
+	// Withdraw all, then announce other prefixes into the freed ids.
+	for _, p := range modelPrefixes {
+		for _, pi := range modelPeers {
+			withdraw(step, pi, p)
+		}
+		checkAgainstModel(t, step, r, m, ids)
+	}
+	for i := len(modelPrefixes) - 1; i >= 0; i-- {
+		for _, pi := range modelPeers[:max(peers, 1)] {
+			announce(step, pi, modelPrefixes[i], modelAttrs[i])
+		}
+		checkAgainstModel(t, step, r, m, ids)
+	}
+	return maxCands, reAdds, ids.reused
 }
 
 // describe prints a change with both ends' peers and attribute pointers,
@@ -189,9 +267,10 @@ func describeAll(chs []Change) []string {
 	return out
 }
 
-// checkAgainstModel compares every query of r with m and returns the
+// checkAgainstModel compares every query of r with m, and the id r files
+// each prefix under with the one its changes named, and returns the
 // largest candidate set.
-func checkAgainstModel(t *testing.T, step int, r *RIB, m *refRIB) (maxCands int) {
+func checkAgainstModel(t *testing.T, step int, r *RIB, m *refRIB, ids *modelIDs) (maxCands int) {
 	t.Helper()
 	if r.Len() != len(m.cands) {
 		t.Fatalf("step %d: Len = %d, want %d", step, r.Len(), len(m.cands))
@@ -205,8 +284,9 @@ func checkAgainstModel(t *testing.T, step int, r *RIB, m *refRIB) (maxCands int)
 		if got != want || ok != (want.Attrs != nil) {
 			t.Fatalf("step %d: Lookup(%v) = %v/%v, want %v", step, p, got, ok, want)
 		}
-		if o := r.Origin(p); o != want.Peer.Addr {
-			t.Fatalf("step %d: Origin(%v) = %v, want %v", step, p, o, want.Peer.Addr)
+		id, got, ok := r.Entry(p)
+		if wantID, live := ids.live[p]; got != want || ok != live || (ok && id != wantID) {
+			t.Fatalf("step %d: Entry(%v) = %d/%v/%v, want %d/%v/%v", step, p, id, got, ok, wantID, want, live)
 		}
 		if cands := r.Candidates(p); !slices.Equal(cands, m.cands[p]) {
 			t.Fatalf("step %d: Candidates(%v) = %v, want %v", step, p, cands, m.cands[p])
@@ -245,20 +325,21 @@ func checkAgainstModel(t *testing.T, step int, r *RIB, m *refRIB) (maxCands int)
 
 // TestLocRIBMatchesModel runs seeded random operation sequences over one
 // to four peers against the naive model. The sequences must reach every
-// candidate-set size up to three and register removed peers again, which
-// reuses their indices. Forty seeds never withdraw the middle route of a
-// MED cycle while the other two remain; a hundred do.
+// candidate-set size up to three, register removed peers again, which
+// reuses their indices, and give freed Loc-RIB ids to other prefixes.
+// Forty seeds never withdraw the middle route of a MED cycle while the
+// other two remain; a hundred do.
 func TestLocRIBMatchesModel(t *testing.T) {
-	maxCands, reAdds := 0, 0
+	maxCands, reAdds, reused := 0, 0, 0
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 1200)
 		rng.Read(ops)
-		c, a := runModel(t, 1+int(seed%4), ops)
-		maxCands, reAdds = max(maxCands, c), reAdds+a
+		c, a, u := runModel(t, 1+int(seed%4), ops)
+		maxCands, reAdds, reused = max(maxCands, c), reAdds+a, reused+u
 	}
-	if maxCands < 3 || reAdds == 0 {
-		t.Fatalf("sequences reached %d candidates per prefix and %d re-registrations; want >= 3 and > 0", maxCands, reAdds)
+	if maxCands < 3 || reAdds == 0 || reused == 0 {
+		t.Fatalf("sequences reached %d candidates per prefix, %d re-registrations and %d reused ids; want >= 3, > 0 and > 0", maxCands, reAdds, reused)
 	}
 }
 
@@ -279,7 +360,7 @@ func FuzzLocRIBModel(f *testing.F) {
 // TestLocRIBSteadyStateAllocs: once a table and its overflow slab have
 // been built, withdrawing and re-announcing every route allocates
 // nothing — no per-decision copy, no per-prefix entry, no candidate slot
-// — and the slab does not grow: every freed slot is taken again.
+// — and neither slab grows: every freed id and slot is taken again.
 func TestLocRIBSteadyStateAllocs(t *testing.T) {
 	r := New()
 	r.AddPeer(peerA)
@@ -305,12 +386,15 @@ func TestLocRIBSteadyStateAllocs(t *testing.T) {
 	}
 	cycle()
 	cycle()
-	slots := len(r.over)
+	slots, ids := len(r.over.s), len(r.loc.s)
 	if got := testing.AllocsPerRun(5, cycle); got != 0 {
 		t.Fatalf("withdraw-all + announce-all allocated %v times per cycle, want 0", got)
 	}
-	if len(r.over) != slots {
-		t.Fatalf("overflow slab grew from %d to %d slots over the cycles", slots, len(r.over))
+	if len(r.over.s) != slots {
+		t.Fatalf("overflow slab grew from %d to %d slots over the cycles", slots, len(r.over.s))
+	}
+	if len(r.loc.s) != ids {
+		t.Fatalf("Loc-RIB grew from %d to %d ids over the cycles", ids, len(r.loc.s))
 	}
 	if r.Len() != len(prefixes) {
 		t.Fatalf("Len = %d, want %d", r.Len(), len(prefixes))

@@ -23,8 +23,13 @@ import (
 // transitions are suppressed).
 type Change struct {
 	Prefix netaddr.Prefix
-	Old    Candidate
-	New    Candidate
+	// ID is the prefix's Loc-RIB id, which indexes every Adj-RIB-Out
+	// column of the RIB (AdjOut). When New is zero the id has just been
+	// freed, and the next new prefix may take it: a column must apply this
+	// change before the RIB's next Announce.
+	ID  uint32
+	Old Candidate
+	New Candidate
 }
 
 // String summarizes the change.
@@ -51,24 +56,56 @@ type slot struct {
 	next  uint32 // overflow slab index of the next candidate, 0 at the end
 }
 
+// slab is an array of slots whose freed entries a free list, linked
+// through next, hands out again. Index 0 is never handed out, so 0 can
+// end a list.
+type slab struct {
+	s    []slot
+	free uint32 // head of the free list
+}
+
+// alloc stores s in a free entry, growing the array when none is free,
+// and returns its index.
+func (b *slab) alloc(s slot) uint32 {
+	i := b.free
+	if i == 0 {
+		b.s = append(b.s, s)
+		return uint32(len(b.s) - 1)
+	}
+	b.free = b.s[i].next
+	b.s[i] = s
+	return i
+}
+
+// release puts entry i, referenced from nowhere any more, on the free
+// list.
+func (b *slab) release(i uint32) {
+	b.s[i] = slot{next: b.free}
+	b.free = i
+}
+
 // RIB is the full routing information base of one BGP speaker. It is not
 // safe for concurrent use; the router serializes access through its
 // decision goroutine, mirroring the single xorp_rib process in the paper's
 // software stack.
 //
-// Per prefix it keeps one map value: the best candidate inline. Only a
+// The Loc-RIB looks a prefix up once: index maps it to a dense id, and
+// the id indexes a slab of entries holding the best candidate inline,
+// which announce and withdraw then update in place. The same id indexes every
+// Adj-RIB-Out column kept beside this RIB (AdjOut). An id is freed when its
+// prefix leaves the Loc-RIB and is reused by a later new prefix. Only a
 // prefix offered by more than one peer links its candidates, held in a
-// per-RIB slab whose freed slots a free list hands out again. Peers are
-// stored once, by index, so a candidate costs an attrs pointer and two
-// uint32s.
+// second, overflow slab. Peers are stored once, by index, so a candidate
+// costs an attrs pointer and two uint32s. There is no id-to-prefix array:
+// walks range over index.
 type RIB struct {
 	peerIdx   map[netaddr.Addr]uint32 // registered peers
 	peers     []PeerInfo              // by index; freed indices hold the zero PeerInfo
 	freePeers []uint32                // indices of removed peers, all of whose routes are withdrawn
 
-	loc      map[netaddr.Prefix]slot
-	over     []slot // overflow candidates; over[0] is unused
-	freeSlot uint32 // head of the free-slot list, linked through next
+	index map[netaddr.Prefix]uint32 // prefix -> id, for every prefix with a best route
+	loc   slab                      // Loc-RIB entries by id
+	over  slab                      // overflow candidates
 
 	decisions uint64 // decision process invocations, for benchmarks
 
@@ -82,8 +119,9 @@ type RIB struct {
 func New() *RIB {
 	return &RIB{
 		peerIdx: make(map[netaddr.Addr]uint32),
-		loc:     make(map[netaddr.Prefix]slot),
-		over:    make([]slot, 1),
+		index:   make(map[netaddr.Prefix]uint32),
+		loc:     slab{s: make([]slot, 1)},
+		over:    slab{s: make([]slot, 1)},
 	}
 }
 
@@ -140,13 +178,15 @@ func (r *RIB) AnnounceHad(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.
 		return Change{}, false, false
 	}
 	r.decisions++
-	e, ok := r.loc[prefix]
+	id, ok := r.index[prefix]
 	if !ok {
-		e = slot{attrs: attrs, peer: pi}
-		r.loc[prefix] = e
-		return Change{Prefix: prefix, New: r.cand(e)}, true, false
+		e := slot{attrs: attrs, peer: pi}
+		id = r.loc.alloc(e)
+		r.index[prefix] = id
+		return Change{Prefix: prefix, ID: id, New: r.cand(e)}, true, false
 	}
-	old := e
+	e := &r.loc.s[id]
+	old := *e
 	switch {
 	case e.next == 0 && e.peer == pi:
 		// The sole candidate changed.
@@ -154,22 +194,21 @@ func (r *RIB) AnnounceHad(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.
 		had = true
 	case e.next == 0:
 		// A second peer: both candidates move to the chain, first come first.
-		second := r.alloc(slot{attrs: attrs, peer: pi})
-		e.next = r.alloc(slot{attrs: e.attrs, peer: e.peer, next: second})
-		r.decide(&e)
+		second := r.over.alloc(slot{attrs: attrs, peer: pi})
+		e.next = r.over.alloc(slot{attrs: e.attrs, peer: e.peer, next: second})
+		r.decide(e)
 	default:
 		if i := r.find(e.next, pi); i != 0 {
-			r.over[i].attrs = attrs
+			r.over.s[i].attrs = attrs
 			had = true
 		} else {
 			tail := r.tail(e.next)
-			i := r.alloc(slot{attrs: attrs, peer: pi})
-			r.over[tail].next = i
+			i := r.over.alloc(slot{attrs: attrs, peer: pi})
+			r.over.s[tail].next = i
 		}
-		r.decide(&e)
+		r.decide(e)
 	}
-	r.loc[prefix] = e
-	ch, changed = r.change(prefix, old, e)
+	ch, changed = r.change(prefix, id, old, *e)
 	return ch, changed, had
 }
 
@@ -187,32 +226,33 @@ func (r *RIB) WithdrawHad(peer netaddr.Addr, prefix netaddr.Prefix) (ch Change, 
 	if !ok {
 		return Change{}, false, false
 	}
-	e, ok := r.loc[prefix]
+	id, ok := r.index[prefix]
 	if !ok {
 		return Change{}, false, false
 	}
-	old := e
+	e := &r.loc.s[id]
+	old := *e
 	if e.next == 0 {
 		if e.peer != pi {
 			return Change{}, false, false
 		}
 		r.decisions++
-		delete(r.loc, prefix)
-		return Change{Prefix: prefix, Old: r.cand(old)}, true, true
+		delete(r.index, prefix)
+		r.loc.release(id)
+		return Change{Prefix: prefix, ID: id, Old: r.cand(old)}, true, true
 	}
-	if !r.unlink(&e, pi) {
+	if !r.unlink(e, pi) {
 		return Change{}, false, false
 	}
 	r.decisions++
-	if i := e.next; r.over[i].next == 0 {
+	if i := e.next; r.over.s[i].next == 0 {
 		// One candidate is left: it is the best and needs no chain.
-		e = slot{attrs: r.over[i].attrs, peer: r.over[i].peer}
-		r.free(i)
+		*e = slot{attrs: r.over.s[i].attrs, peer: r.over.s[i].peer}
+		r.over.release(i)
 	} else {
-		r.decide(&e)
+		r.decide(e)
 	}
-	r.loc[prefix] = e
-	ch, changed = r.change(prefix, old, e)
+	ch, changed = r.change(prefix, id, old, *e)
 	return ch, changed, true
 }
 
@@ -225,7 +265,8 @@ func (r *RIB) RemovePeer(peer netaddr.Addr) []Change {
 	if !ok {
 		return nil
 	}
-	prefixes := sortedPrefixes(nil, r.loc, func(e slot) bool {
+	prefixes := r.sortedPrefixes(nil, func(id uint32) bool {
+		e := r.loc.s[id]
 		return e.peer == pi || r.find(e.next, pi) != 0
 	})
 	var changes []Change
@@ -250,11 +291,11 @@ func (r *RIB) better(a, b slot) bool { return Better(r.cand(a), r.cand(b)) }
 
 // change reports the transition between the best before and after one
 // decision, suppressing a no-op.
-func (r *RIB) change(prefix netaddr.Prefix, old, e slot) (Change, bool) {
+func (r *RIB) change(prefix netaddr.Prefix, id uint32, old, e slot) (Change, bool) {
 	if old.peer == e.peer && attrsEqual(old.attrs, e.attrs) {
 		return Change{}, false
 	}
-	return Change{Prefix: prefix, Old: r.cand(old), New: r.cand(e)}, true
+	return Change{Prefix: prefix, ID: id, Old: r.cand(old), New: r.cand(e)}, true
 }
 
 // decide sets e's inline route to Best over its chain, scanned in the
@@ -265,19 +306,19 @@ func (r *RIB) change(prefix netaddr.Prefix, old, e slot) (Change, bool) {
 // whole chain instead of comparing against the previous winner.
 func (r *RIB) decide(e *slot) {
 	best := e.next
-	for i := r.over[best].next; i != 0; i = r.over[i].next {
-		if r.better(r.over[i], r.over[best]) {
+	for i := r.over.s[best].next; i != 0; i = r.over.s[i].next {
+		if r.better(r.over.s[i], r.over.s[best]) {
 			best = i
 		}
 	}
-	e.attrs, e.peer = r.over[best].attrs, r.over[best].peer
+	e.attrs, e.peer = r.over.s[best].attrs, r.over.s[best].peer
 }
 
 // find returns the overflow slot of peer pi in the chain starting at i,
 // or 0.
 func (r *RIB) find(i, pi uint32) uint32 {
-	for ; i != 0; i = r.over[i].next {
-		if r.over[i].peer == pi {
+	for ; i != 0; i = r.over.s[i].next {
+		if r.over.s[i].peer == pi {
 			return i
 		}
 	}
@@ -286,8 +327,8 @@ func (r *RIB) find(i, pi uint32) uint32 {
 
 // tail returns the last slot of the non-empty chain starting at i.
 func (r *RIB) tail(i uint32) uint32 {
-	for r.over[i].next != 0 {
-		i = r.over[i].next
+	for r.over.s[i].next != 0 {
+		i = r.over.s[i].next
 	}
 	return i
 }
@@ -295,33 +336,14 @@ func (r *RIB) tail(i uint32) uint32 {
 // unlink removes peer pi's slot from e's overflow chain and frees it,
 // reporting whether there was one.
 func (r *RIB) unlink(e *slot, pi uint32) bool {
-	for link := &e.next; *link != 0; link = &r.over[*link].next {
-		if i := *link; r.over[i].peer == pi {
-			*link = r.over[i].next
-			r.free(i)
+	for link := &e.next; *link != 0; link = &r.over.s[*link].next {
+		if i := *link; r.over.s[i].peer == pi {
+			*link = r.over.s[i].next
+			r.over.release(i)
 			return true
 		}
 	}
 	return false
-}
-
-// free puts overflow slot i, already out of every chain, on the free list.
-func (r *RIB) free(i uint32) {
-	r.over[i] = slot{next: r.freeSlot}
-	r.freeSlot = i
-}
-
-// alloc stores s in a free overflow slot, growing the slab when none is
-// free, and returns its index.
-func (r *RIB) alloc(s slot) uint32 {
-	i := r.freeSlot
-	if i == 0 {
-		r.over = append(r.over, s)
-		return uint32(len(r.over) - 1)
-	}
-	r.freeSlot = r.over[i].next
-	r.over[i] = s
-	return i
 }
 
 // attrsEqual compares two attribute pointers: pointer equality first (the
@@ -338,11 +360,20 @@ func attrsEqual(a, b *wire.PathAttrs) bool {
 
 // Lookup returns the current best route for a prefix.
 func (r *RIB) Lookup(prefix netaddr.Prefix) (Candidate, bool) {
-	e, ok := r.loc[prefix]
+	_, c, ok := r.Entry(prefix)
+	return c, ok
+}
+
+// Entry returns the Loc-RIB id and the current best route of a prefix.
+// Callers holding prefixes across RIB changes (catch-up snapshots, MRAI
+// windows) re-resolve the id here each time: once its prefix leaves, an
+// id may be handed to another.
+func (r *RIB) Entry(prefix netaddr.Prefix) (uint32, Candidate, bool) {
+	id, ok := r.index[prefix]
 	if !ok {
-		return Candidate{}, false
+		return 0, Candidate{}, false
 	}
-	return r.cand(e), true
+	return id, r.cand(r.loc.s[id]), true
 }
 
 // CandidateOf returns the route the peer contributes for a prefix, best
@@ -352,45 +383,36 @@ func (r *RIB) CandidateOf(peer netaddr.Addr, prefix netaddr.Prefix) (Candidate, 
 	if !ok {
 		return Candidate{}, false
 	}
-	e, ok := r.loc[prefix]
+	id, ok := r.index[prefix]
 	if !ok {
 		return Candidate{}, false
 	}
+	e := r.loc.s[id]
 	if e.next == 0 && e.peer == pi {
 		return r.cand(e), true
 	}
 	if i := r.find(e.next, pi); i != 0 {
-		return r.cand(r.over[i]), true
+		return r.cand(r.over.s[i]), true
 	}
 	return Candidate{}, false
-}
-
-// Origin returns the peer the current best route for prefix was learned
-// from, the zero Addr when there is none. An Adj-RIB-Out entry is the
-// export of that route, so this is also the entry's originator.
-func (r *RIB) Origin(prefix netaddr.Prefix) netaddr.Addr {
-	if e, ok := r.loc[prefix]; ok {
-		return r.peers[e.peer].Addr
-	}
-	return netaddr.Addr{}
 }
 
 // LocPrefixesInto appends every prefix with a best route to buf (which
 // should come in empty) and returns it sorted. The chunked update-group
 // rebuild snapshots the key set here, then re-reads each entry through
-// Lookup at chunk-processing time so entries that changed after the
+// Entry at chunk-processing time so entries that changed after the
 // snapshot are never replayed stale.
 func (r *RIB) LocPrefixesInto(buf []netaddr.Prefix) []netaddr.Prefix {
-	return sortedPrefixes(buf, r.loc, nil)
+	return r.sortedPrefixes(buf, nil)
 }
 
-// sortedPrefixes appends to buf the keys of m whose value keep admits
-// (nil: every key) and returns buf in prefix order: the one order every
+// sortedPrefixes appends to buf the prefixes whose id keep admits (nil:
+// every prefix) and returns buf in prefix order: the one order every
 // table walk and key snapshot of this package visits in, which is what
 // makes advertisement streams and digests deterministic.
-func sortedPrefixes[V any](buf []netaddr.Prefix, m map[netaddr.Prefix]V, keep func(V) bool) []netaddr.Prefix {
-	for p, v := range m {
-		if keep == nil || keep(v) {
+func (r *RIB) sortedPrefixes(buf []netaddr.Prefix, keep func(id uint32) bool) []netaddr.Prefix {
+	for p, id := range r.index {
+		if keep == nil || keep(id) {
 			buf = append(buf, p)
 		}
 	}
@@ -401,22 +423,23 @@ func sortedPrefixes[V any](buf []netaddr.Prefix, m map[netaddr.Prefix]V, keep fu
 // Candidates returns all Adj-RIB-In routes for a prefix, in the order
 // their peers first offered them, for diagnostics and tests.
 func (r *RIB) Candidates(prefix netaddr.Prefix) []Candidate {
-	e, ok := r.loc[prefix]
+	id, ok := r.index[prefix]
 	if !ok {
 		return nil
 	}
+	e := r.loc.s[id]
 	if e.next == 0 {
 		return []Candidate{r.cand(e)}
 	}
 	var out []Candidate
-	for i := e.next; i != 0; i = r.over[i].next {
-		out = append(out, r.cand(r.over[i]))
+	for i := e.next; i != 0; i = r.over.s[i].next {
+		out = append(out, r.cand(r.over.s[i]))
 	}
 	return out
 }
 
 // Len returns the number of prefixes with a best route in the Loc-RIB.
-func (r *RIB) Len() int { return len(r.loc) }
+func (r *RIB) Len() int { return len(r.index) }
 
 // Decisions returns the number of decision-process invocations.
 func (r *RIB) Decisions() uint64 { return r.decisions }
@@ -429,8 +452,8 @@ func (r *RIB) UnregisteredDrops() uint64 { return r.unregisteredDrops.Load() }
 // WalkLoc visits every Loc-RIB best route in prefix order until fn returns
 // false. The ordering makes Phase 2 advertisement streams deterministic.
 func (r *RIB) WalkLoc(fn func(netaddr.Prefix, Candidate) bool) {
-	for _, p := range sortedPrefixes(make([]netaddr.Prefix, 0, len(r.loc)), r.loc, nil) {
-		if !fn(p, r.cand(r.loc[p])) {
+	for _, p := range r.sortedPrefixes(make([]netaddr.Prefix, 0, len(r.index)), nil) {
+		if !fn(p, r.cand(r.loc.s[r.index[p]])) {
 			return
 		}
 	}

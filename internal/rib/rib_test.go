@@ -252,27 +252,33 @@ func TestLocRIBInvariant(t *testing.T) {
 
 func TestAdjOutDedup(t *testing.T) {
 	o := NewAdjOut()
-	p := pfx("10.0.0.0/8")
+	const id = 3
 	a := baseAttrs(1, 2)
 
-	if old, changed := o.Advertise(p, a); !changed || old != nil {
+	if old, changed := o.Advertise(id, a); !changed || old != nil {
 		t.Fatalf("first advertise = (%v, %v), want a change from nothing", old, changed)
 	}
-	if old, changed := o.Advertise(p, a); changed || old != a {
+	if old, changed := o.Advertise(id, a); changed || old != a {
 		t.Fatal("identical re-advertise should be suppressed and return the held attrs")
 	}
 	b := baseAttrs(1, 2, 3)
-	if old, changed := o.Advertise(p, b); !changed || old != a {
+	if old, changed := o.Advertise(id, b); !changed || old != a {
 		t.Fatal("changed attributes should report a change from the previous attrs")
 	}
-	if got, ok := o.Lookup(p); !ok || !attrsEqual(got, b) {
+	if got, ok := o.Lookup(id); !ok || !attrsEqual(got, b) {
 		t.Fatal("Lookup returned wrong attrs")
 	}
-	if old, had := o.Withdraw(p); !had || old != b {
+	if _, ok := o.Lookup(id - 1); ok {
+		t.Fatal("Lookup found an id never advertised")
+	}
+	if old, had := o.Withdraw(id); !had || old != b {
 		t.Fatal("withdraw of advertised prefix should return what was held")
 	}
-	if old, had := o.Withdraw(p); had || old != nil {
+	if old, had := o.Withdraw(id); had || old != nil {
 		t.Fatal("double withdraw should be suppressed")
+	}
+	if old, had := o.Withdraw(id + 100); had || old != nil {
+		t.Fatal("withdraw past the column's end should be a no-op")
 	}
 	if o.Len() != 0 {
 		t.Fatalf("Len = %d", o.Len())
@@ -280,13 +286,15 @@ func TestAdjOutDedup(t *testing.T) {
 }
 
 func TestAdjOutWalkOrdered(t *testing.T) {
-	o := NewAdjOut()
+	r, o := newRIB2(), NewAdjOut()
 	for i := 20; i > 0; i-- {
-		o.Advertise(netaddr.PrefixFrom(netaddr.AddrFromV4(uint32(i)<<24), 8), baseAttrs(uint32(i)))
+		a := baseAttrs(uint32(i))
+		ch, _ := r.Announce(peerA.Addr, netaddr.PrefixFrom(netaddr.AddrFromV4(uint32(i)<<24), 8), a)
+		o.Advertise(ch.ID, a)
 	}
 	var prev netaddr.Prefix
 	n := 0
-	o.Walk(func(p netaddr.Prefix, _ *wire.PathAttrs) bool {
+	o.WalkMember(r, peerB.Addr, func(p netaddr.Prefix, _ *wire.PathAttrs) bool {
 		if n > 0 && prev.Compare(p) >= 0 {
 			t.Fatalf("Walk out of order")
 		}
@@ -297,6 +305,10 @@ func TestAdjOutWalkOrdered(t *testing.T) {
 	if n != 20 {
 		t.Fatalf("visited %d", n)
 	}
+	o.WalkMember(r, peerA.Addr, func(netaddr.Prefix, *wire.PathAttrs) bool {
+		t.Fatal("the originator was shown its own routes")
+		return false
+	})
 }
 
 func TestChangeString(t *testing.T) {

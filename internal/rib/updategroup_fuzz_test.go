@@ -119,57 +119,147 @@ func FuzzGroupKey(f *testing.F) {
 }
 
 // FuzzAdjOutMemberViews checks the one shared table against the model it
-// replaced: an independent table per peer, written with the audience
-// rule "never advertise a route back to the peer it came from". The
-// subject is one AdjOut plus an origin function (prefix -> originator);
-// after every operation each member's view of it must be that member's
-// reference table, entry for entry and in prefix order.
+// replaced: an independent map[Prefix]*PathAttrs per peer, written with
+// the audience rule "never advertise a route back to the peer it came
+// from". The subject is one AdjOut column beside a Loc-RIB, written as the
+// router's table step writes it: every Loc-RIB change is applied to the
+// column under the change's id, so ids freed by withdrawals come back for
+// other prefixes. After every operation each present member's view of
+// the column must be that member's reference table, entry for entry and
+// in prefix order.
 //
 // Each input byte is one operation: bits 0-2 pick the prefix, bits 3-5
-// the originator (four members and one outsider), bits 6-7 withdraw or
-// one of three attribute blocks.
+// the originator (four members and one outsider, 0-4) or, at 5-7, a
+// membership toggle; bits 6-7 withdraw or pick one of three attribute
+// blocks, and for a toggle the member. A member that leaves takes its
+// routes with it and is sent nothing; when it rejoins, its table is
+// everything it did not originate. When the last member leaves the column
+// is dropped, and the first to rejoin gets a fresh one rebuilt from the
+// Loc-RIB, as a group partition does.
 func FuzzAdjOutMemberViews(f *testing.F) {
 	f.Add([]byte{0x40, 0x48, 0x88, 0x00, 0xc1, 0x59, 0x19})
 	f.Add([]byte{0x60, 0x60, 0xa0, 0x68, 0x20})
+	f.Add([]byte{0x41, 0x8a, 0x63, 0x28, 0x42, 0x28, 0xd5, 0x00})
+	f.Add([]byte{0x40, 0x89, 0xd2, 0xe3, 0x28, 0x68, 0xa8, 0xe8, 0x60, 0xa4, 0x04, 0x68, 0x41, 0xa8})
 	f.Add([]byte{})
 	const members = 4
-	addrOf := func(i byte) netaddr.Addr { return netaddr.AddrFrom4(10, 0, 0, i+1) }
+	addrOf := func(i int) netaddr.Addr { return netaddr.AddrFrom4(10, 0, 0, byte(i+1)) }
+	peerOf := func(i int) PeerInfo {
+		return PeerInfo{Addr: addrOf(i), ID: addrOf(i), AS: 65001 + uint32(i), EBGP: true}
+	}
 	blocks := []*wire.PathAttrs{baseAttrs(1), baseAttrs(1, 2), baseAttrs(1, 2, 3)}
+	type route struct {
+		attrs  *wire.PathAttrs
+		origin int
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		table := NewAdjOut()
-		originOf := make(map[netaddr.Prefix]netaddr.Addr)
-		origin := func(p netaddr.Prefix) netaddr.Addr { return originOf[p] }
+		loc, table := New(), NewAdjOut()
+		for i := 0; i <= members; i++ {
+			loc.AddPeer(peerOf(i))
+		}
+		apply := func(ch Change) {
+			if table == nil {
+				return
+			}
+			if ch.New.Attrs != nil {
+				table.Advertise(ch.ID, ch.New.Attrs)
+			} else {
+				table.Withdraw(ch.ID)
+			}
+		}
+		withdraw := func(from int, p netaddr.Prefix) {
+			if ch, ok := loc.Withdraw(addrOf(from), p); ok {
+				apply(ch)
+			}
+		}
+
+		routes := map[netaddr.Prefix]route{} // what the speakers announced
+		var absent [members]bool
 		var ref [members]map[netaddr.Prefix]*wire.PathAttrs
 		for m := range ref {
-			ref[m] = make(map[netaddr.Prefix]*wire.PathAttrs)
+			ref[m] = map[netaddr.Prefix]*wire.PathAttrs{}
 		}
 		for step, op := range ops {
 			p := netaddr.PrefixFrom(netaddr.AddrFrom4(10, op&7, 0, 0), 16)
-			from := addrOf(op >> 3 & 7 % (members + 1))
-			var attrs *wire.PathAttrs
-			if kind := op >> 6; kind > 0 {
-				attrs = blocks[kind-1]
-			}
-
-			if attrs == nil {
-				table.Withdraw(p)
-				delete(originOf, p)
-			} else {
-				table.Advertise(p, attrs)
-				originOf[p] = from
-			}
-			for m := range ref {
-				if attrs == nil || from == addrOf(byte(m)) {
-					delete(ref[m], p)
-				} else {
-					ref[m][p] = attrs
+			who, sel := int(op>>3&7), int(op>>6)
+			switch {
+			case who > members:
+				m := sel
+				if !absent[m] {
+					for _, ch := range loc.RemovePeer(addrOf(m)) {
+						apply(ch)
+					}
+					for q, rt := range routes {
+						if rt.origin == m {
+							delete(routes, q)
+							for k := range ref {
+								delete(ref[k], q)
+							}
+						}
+					}
+					absent[m], ref[m] = true, map[netaddr.Prefix]*wire.PathAttrs{}
+					if absent == [members]bool{true, true, true, true} {
+						table = nil
+					}
+					break
+				}
+				loc.AddPeer(peerOf(m))
+				absent[m] = false
+				if table == nil {
+					table = NewAdjOut()
+					for _, q := range loc.LocPrefixesInto(nil) {
+						id, c, _ := loc.Entry(q)
+						table.Advertise(id, c.Attrs)
+					}
+				}
+				for q, rt := range routes {
+					if rt.origin != m {
+						ref[m][q] = rt.attrs
+					}
+				}
+			case sel == 0:
+				if rt, ok := routes[p]; ok {
+					withdraw(rt.origin, p)
+					delete(routes, p)
+					for m := range ref {
+						delete(ref[m], p)
+					}
+				}
+			case who < members && absent[who]:
+				// An absent member announces nothing.
+			default:
+				attrs := blocks[sel-1]
+				// One candidate per prefix keeps the best route the
+				// announced one: the previous holder withdraws first.
+				if rt, ok := routes[p]; ok && rt.origin != who {
+					withdraw(rt.origin, p)
+				}
+				if ch, ok := loc.Announce(addrOf(who), p, attrs); ok {
+					apply(ch)
+				}
+				routes[p] = route{attrs: attrs, origin: who}
+				for m := range ref {
+					if absent[m] || m == who {
+						delete(ref[m], p)
+					} else {
+						ref[m][p] = attrs
+					}
 				}
 			}
 
+			if table == nil {
+				continue
+			}
+			if table.Len() != len(routes) {
+				t.Fatalf("step %d: column holds %d entries, the speakers announced %d routes", step, table.Len(), len(routes))
+			}
 			for m := range ref {
+				if absent[m] {
+					continue
+				}
 				n := 0
 				var prev netaddr.Prefix
-				table.WalkMember(addrOf(byte(m)), origin, func(q netaddr.Prefix, a *wire.PathAttrs) bool {
+				table.WalkMember(loc, addrOf(m), func(q netaddr.Prefix, a *wire.PathAttrs) bool {
 					if n > 0 && prev.Compare(q) >= 0 {
 						t.Fatalf("step %d: member %d walked out of prefix order", step, m)
 					}

@@ -85,7 +85,12 @@ step_stress() {
 # allocs/msg, at 1 and 500 prefixes per UPDATE).
 # BenchmarkProcessUpdate/policy=sliver/prefixes=500 backs the policy
 # stages: transit_large-shaped UPDATEs through an import and an export
-# route map to a receiver (ns/prefix, allocs per 500-prefix UPDATE).
+# route map to a receiver (ns/prefix, allocs per 500-prefix UPDATE), over
+# a 20k-prefix table that fits in cache and over transit_large's 400k
+# (table=400k), where the prefix index and the Adj-RIB-Out column miss.
+# BenchmarkLocRIBFootprint/dfz400k_adjout prints the B/prefix of one
+# update group's Adj-RIB-Out column beside the 400k Loc-RIB. Both run
+# under the patterns below, which match every case of their benchmark.
 step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkDispatchUpdate|BenchmarkProcessUpdate|BenchmarkEmitGrouped' \
 		-benchtime=1x ./internal/core/
@@ -97,6 +102,16 @@ step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkLocRIBFootprint|BenchmarkPatriciaFootprint|BenchmarkPatriciaApply' \
 		-benchtime=1x ./internal/rib/ ./internal/fib/
 	$GO test -run='^$' -bench 'BenchmarkSessionReceive' -benchtime=1x ./internal/session/
+}
+
+# Coverage-guided fuzzing of the two table models, 10 s each: the
+# Loc-RIB against its naive reference (candidate sets, MED cycles, peer
+# removal, Loc-RIB id reuse) and an update group's Adj-RIB-Out column
+# against one reference table per member (ids reused, members leaving and
+# rejoining). Go fuzzes one target per invocation.
+step_fuzz() {
+	$GO test -run='^$' -fuzz='^FuzzLocRIBModel$' -fuzztime=10s ./internal/rib/
+	$GO test -run='^$' -fuzz='^FuzzAdjOutMemberViews$' -fuzztime=10s ./internal/rib/
 }
 
 # The examples that drive the router's tables end to end, each with its
@@ -125,7 +140,7 @@ step_test() {
 }
 
 if [ $# -eq 0 ]; then
-	set -- build fmt vet lint race conformance stress bench-smoke examples benchmark test
+	set -- build fmt vet lint race conformance stress fuzz bench-smoke examples benchmark test
 fi
 for step in "$@"; do
 	echo "== $step"
