@@ -21,14 +21,17 @@ import (
 	"bgpbench/internal/wire"
 )
 
-// The batch bounds every router session delivers UPDATEs under: at most
-// this many consecutive messages per UpdateBatch, none held longer than
-// the delay. Constants, not configuration — a batch of one is the
-// unbatched case, and the benchmark measures exactly these values.
-const (
-	DefaultBatchMaxUpdates = 256
-	DefaultBatchMaxDelay   = 200 * time.Microsecond
-)
+// DefaultBatchMaxUpdates bounds the UpdateBatch calls every router
+// session delivers a buffered read's UPDATEs in. A constant, not
+// configuration: a batch of one is the unbatched case, and the benchmark
+// measures exactly this value.
+const DefaultBatchMaxUpdates = 256
+
+// DefaultBatchMaxDelay is no longer read: a session holds no received
+// UPDATE back waiting for others.
+//
+// Deprecated: it has no effect.
+const DefaultBatchMaxDelay = 200 * time.Microsecond
 
 // NeighborConfig describes one configured peer of the router.
 type NeighborConfig struct {
@@ -721,7 +724,6 @@ func (r *Router) startSession(n NeighborConfig, label string) *session.Session {
 		Handler:         &routerHandler{r: r, gen: r.nextGen()},
 		Name:            name,
 		BatchMaxUpdates: DefaultBatchMaxUpdates,
-		BatchMaxDelay:   DefaultBatchMaxDelay,
 	})
 	r.mu.Lock()
 	r.sessions[s] = true

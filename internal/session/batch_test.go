@@ -133,16 +133,15 @@ func TestBatchedDelivery(t *testing.T) {
 	}
 }
 
-// TestBatchLoneUpdateLatency: with a batch bound far above one message,
-// a lone UPDATE must still be delivered within BatchMaxDelay (plus
-// scheduling slack) — the latency bound, not the count bound, flushes it.
+// TestBatchLoneUpdateLatency: with a batch bound far above one message
+// and a BatchMaxDelay of an hour, a lone UPDATE must still be delivered
+// within a second: a read's UPDATEs are delivered when the read is
+// handled, and BatchMaxDelay holds nothing back.
 func TestBatchLoneUpdateLatency(t *testing.T) {
-	const delay = 100 * time.Millisecond
-	active, bc, cleanup := startBatchPair(t, 100000, delay)
+	active, bc, cleanup := startBatchPair(t, 100000, time.Hour)
 	defer cleanup()
 
 	attrs := wire.NewPathAttrs(wire.OriginIGP, wire.NewASPath(65001), netaddr.MustParseAddr("10.0.0.1"))
-	start := time.Now()
 	if err := active.Send(wire.Update{Attrs: attrs, NLRI: []netaddr.Prefix{testPrefix(1)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +150,13 @@ func TestBatchLoneUpdateLatency(t *testing.T) {
 		if len(batch) != 1 {
 			t.Fatalf("batch size %d, want 1", len(batch))
 		}
-		if elapsed := time.Since(start); elapsed > delay+2*time.Second {
-			t.Fatalf("lone update held %v, want <= %v plus slack", elapsed, delay)
-		}
-	case <-time.After(delay + 5*time.Second):
-		t.Fatal("lone update never delivered")
+	case <-time.After(time.Second):
+		t.Fatal("lone update not delivered within 1 s")
 	}
 }
 
-// TestBatchFlushBeforeDown: a pending batch must be delivered before the
-// Down callback when the peer closes the session.
+// TestBatchFlushBeforeDown: UPDATEs received before the peer closes the
+// session must all be delivered, and before the Down callback.
 func TestBatchFlushBeforeDown(t *testing.T) {
 	active, bc, cleanup := startBatchPair(t, 100000, time.Hour)
 	defer cleanup()
@@ -172,9 +168,8 @@ func TestBatchFlushBeforeDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Give the passive loop time to enqueue all n into the forming batch,
-	// then tear the session down; the hour-long delay means only the
-	// flush-before-Down path can deliver them.
+	// Give the passive loop time to take in all n, then tear the session
+	// down; the hour-long BatchMaxDelay must hold none of them back.
 	time.Sleep(200 * time.Millisecond)
 	active.Stop()
 

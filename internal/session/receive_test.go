@@ -32,7 +32,6 @@ func rawEstablished(t *testing.T, hold uint16, h Handler, up <-chan struct{}) (*
 		Handler:         h,
 		Name:            "receiver",
 		BatchMaxUpdates: 256,
-		BatchMaxDelay:   200 * time.Microsecond,
 	})
 	s.Start()
 	raw, err := net.Dial("tcp", ln.Addr().String())
@@ -220,37 +219,47 @@ func TestHoldTimerKeptByUpdates(t *testing.T) {
 	}
 }
 
-// TestHoldTimerDeadlines drives the hold timer the way the event loop
+// nextFire waits up to limit for ts to fire and feeds the fire to ts as
+// the event loop does, returning whether it fired and the deadlines it
+// expired, in the order it handed them over.
+func nextFire(ts *timers, limit time.Duration) (fired bool, expired []deadline) {
+	select {
+	case <-ts.c:
+		ts.fired(time.Now(), func(k deadline) bool {
+			expired = append(expired, k)
+			return false
+		})
+		return true, expired
+	case <-time.After(limit):
+		return false, nil
+	}
+}
+
+// TestHoldTimerDeadlines drives the hold deadline the way the event loop
 // does: moving the deadline allocates nothing and leaves a sooner fire
 // scheduled where it was; a fire before the deadline re-arms for the
 // rest; a deadline before the scheduled fire re-arms it sooner; stop
 // disarms it, and a fire left over from before a stop only re-arms.
 func TestHoldTimerDeadlines(t *testing.T) {
-	var h holdTimer
-	defer h.stop()
-	// next waits up to limit for a fire and feeds it to h as the loop
-	// does, reporting whether it expired the timer.
+	var ts timers
+	defer ts.disarm()
 	next := func(limit time.Duration) (fired, expired bool) {
-		select {
-		case <-h.c:
-			return true, h.fired(time.Now())
-		case <-time.After(limit):
-			return false, false
-		}
+		fired, exp := nextFire(&ts, limit)
+		return fired, fmt.Sprint(exp) == fmt.Sprint([]deadline{holdDeadline})
 	}
 
-	h.set(time.Now(), time.Hour)
-	at := h.fireAt
-	if got := testing.AllocsPerRun(100, func() { h.set(time.Now(), time.Hour) }); got != 0 {
+	ts.set(holdDeadline, time.Now(), time.Hour)
+	at := ts.fireAt
+	if got := testing.AllocsPerRun(100, func() { ts.set(holdDeadline, time.Now(), time.Hour) }); got != 0 {
 		t.Errorf("moving the hold deadline allocated %v times, want 0", got)
 	}
-	if !h.fireAt.Equal(at) {
-		t.Errorf("a later deadline moved the scheduled fire from %v to %v", at, h.fireAt)
+	if !ts.fireAt.Equal(at) {
+		t.Errorf("a later deadline moved the scheduled fire from %v to %v", at, ts.fireAt)
 	}
 
 	// Sooner: a 100 ms deadline replaces the hour-long one.
 	start := time.Now()
-	h.set(start, 100*time.Millisecond)
+	ts.set(holdDeadline, start, 100*time.Millisecond)
 	if fired, expired := next(2 * time.Second); !fired || !expired {
 		t.Fatal("a deadline before the scheduled fire did not re-arm the timer")
 	}
@@ -260,7 +269,7 @@ func TestHoldTimerDeadlines(t *testing.T) {
 
 	// Later: keep moving a 100 ms deadline for 400 ms; the fires due in
 	// between re-arm instead of expiring.
-	h.set(time.Now(), 100*time.Millisecond)
+	ts.set(holdDeadline, time.Now(), 100*time.Millisecond)
 	start = time.Now()
 	early := 0
 	for time.Since(start) < 400*time.Millisecond {
@@ -269,7 +278,7 @@ func TestHoldTimerDeadlines(t *testing.T) {
 		} else if fired {
 			early++
 		}
-		h.set(time.Now(), 100*time.Millisecond)
+		ts.set(holdDeadline, time.Now(), 100*time.Millisecond)
 	}
 	if early == 0 {
 		t.Error("the scheduled fire never came while the deadline kept moving")
@@ -290,14 +299,93 @@ func TestHoldTimerDeadlines(t *testing.T) {
 
 	// Stop, then let the stopped fire come due: a later set must not
 	// expire on it.
-	h.set(time.Now(), 50*time.Millisecond)
-	h.stop()
-	if h.c != nil {
+	ts.set(holdDeadline, time.Now(), 50*time.Millisecond)
+	ts.stop(holdDeadline)
+	if ts.c != nil {
 		t.Fatal("stop left the timer selectable")
 	}
 	time.Sleep(100 * time.Millisecond)
-	h.set(time.Now(), time.Hour)
+	ts.set(holdDeadline, time.Now(), time.Hour)
 	if _, expired := next(200 * time.Millisecond); expired {
 		t.Fatal("a fire from before the stop expired the new deadline")
+	}
+}
+
+// TestTimersTwoDeadlines: two deadlines share the one timer. The earlier
+// one fires first and alone, the later one stays set and fires at its
+// own time; stopping one leaves the other armed, whichever of them the
+// timer was scheduled for; deadlines that pass together are handed over
+// hold first; and stopping the last one disarms the timer.
+func TestTimersTwoDeadlines(t *testing.T) {
+	var ts timers
+	defer ts.disarm()
+
+	start := time.Now()
+	ts.set(keepaliveDeadline, start, 300*time.Millisecond)
+	ts.set(holdDeadline, start, 100*time.Millisecond)
+	fired, got := nextFire(&ts, 2*time.Second)
+	if !fired || fmt.Sprint(got) != fmt.Sprint([]deadline{holdDeadline}) {
+		t.Fatalf("first fire expired %v, want the hold deadline alone", got)
+	}
+	if d := time.Since(start); d < 100*time.Millisecond || d >= 300*time.Millisecond {
+		t.Fatalf("the earlier deadline expired after %v, want about 100ms", d)
+	}
+	if ts.c == nil || !ts.at[holdDeadline].IsZero() || ts.at[keepaliveDeadline].IsZero() {
+		t.Fatal("the later deadline was not left armed after the earlier one expired")
+	}
+	fired, got = nextFire(&ts, 2*time.Second)
+	if !fired || fmt.Sprint(got) != fmt.Sprint([]deadline{keepaliveDeadline}) {
+		t.Fatalf("second fire expired %v, want the keepalive deadline", got)
+	}
+	if d := time.Since(start); d < 300*time.Millisecond || d > 1300*time.Millisecond {
+		t.Fatalf("the later deadline expired after %v, want about 300ms", d)
+	}
+	if ts.c != nil {
+		t.Fatal("the timer stayed selectable with no deadline set")
+	}
+
+	// Stopping the deadline the timer is scheduled for leaves the other
+	// one armed: the early fire re-arms for it.
+	start = time.Now()
+	ts.set(retryDeadline, start, 200*time.Millisecond)
+	ts.set(holdDeadline, start, 50*time.Millisecond)
+	ts.stop(holdDeadline)
+	if ts.c == nil {
+		t.Fatal("stopping one deadline disarmed the other")
+	}
+	for {
+		fired, got := nextFire(&ts, 2*time.Second)
+		if !fired {
+			t.Fatal("the remaining deadline never expired")
+		}
+		if len(got) > 0 {
+			if fmt.Sprint(got) != fmt.Sprint([]deadline{retryDeadline}) {
+				t.Fatalf("expired %v, want the connect-retry deadline", got)
+			}
+			break
+		}
+	}
+	if d := time.Since(start); d < 200*time.Millisecond || d > 1200*time.Millisecond {
+		t.Fatalf("the remaining deadline expired after %v, want about 200ms", d)
+	}
+
+	// Stopping the later deadline leaves the earlier one armed.
+	start = time.Now()
+	ts.set(holdDeadline, start, 50*time.Millisecond)
+	ts.set(keepaliveDeadline, start, time.Hour)
+	ts.stop(keepaliveDeadline)
+	if fired, got := nextFire(&ts, 2*time.Second); !fired || fmt.Sprint(got) != fmt.Sprint([]deadline{holdDeadline}) {
+		t.Fatalf("expired %v, want the hold deadline", got)
+	}
+
+	// Deadlines that passed together are handed over in deadline order.
+	now := time.Now()
+	ts.set(retryDeadline, now, 10*time.Millisecond)
+	ts.set(keepaliveDeadline, now, 20*time.Millisecond)
+	ts.set(holdDeadline, now, 30*time.Millisecond)
+	time.Sleep(50 * time.Millisecond)
+	want := []deadline{holdDeadline, keepaliveDeadline, retryDeadline}
+	if fired, got := nextFire(&ts, 2*time.Second); !fired || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("expired %v, want %v", got, want)
 	}
 }

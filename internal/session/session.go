@@ -1,7 +1,7 @@
 // Package session drives one live BGP peering over TCP: it owns the
-// socket, the hold/keepalive/connect-retry timers, and a single event-loop
-// goroutine that feeds the pure FSM (internal/fsm) and executes the
-// actions it returns. Both the benchmark speakers and the router under
+// socket, the hold/keepalive/connect-retry deadlines on one timer, and a
+// single event-loop goroutine that feeds the pure FSM (internal/fsm) and
+// executes the actions it returns. Both the benchmark speakers and the router under
 // test are built from Sessions.
 package session
 
@@ -38,17 +38,18 @@ type RefreshHandler interface {
 	Refresh(s *Session, r wire.RouteRefresh)
 }
 
-// BatchHandler is optionally implemented by Handlers that want coalesced
-// UPDATE delivery: consecutive received UPDATEs are accumulated (bounded
-// by Config.BatchMaxUpdates and Config.BatchMaxDelay) and delivered as
-// one UpdateBatch call; Update is then never called.
+// BatchHandler is optionally implemented by Handlers that want UPDATEs
+// delivered a buffered read at a time: the UPDATEs one read of the socket
+// held are delivered, once the FSM has passed them, in UpdateBatch calls
+// of at most Config.BatchMaxUpdates each; Update is then never called.
+// Nothing waits for more UPDATEs to arrive.
 //
 // Ordering guarantees: updates appear in the batch in arrival order, and
-// any pending batch is flushed before the Established, Refresh, or Down
-// callbacks fire, so a handler observes exactly the per-session event
-// order it would without batching. The batch slice is only valid until
-// the callback returns (the session reuses it); the updates' payload
-// slices (NLRI, Withdrawn, attribute contents) may be retained.
+// a read's UPDATEs are delivered before the message that ended the read
+// is handled, so a handler observes exactly the per-session event order
+// it would without batching. The batch slice is only valid until the
+// callback returns (the session reuses it); the updates' payload slices
+// (NLRI, Withdrawn, attribute contents) may be retained.
 type BatchHandler interface {
 	UpdateBatch(s *Session, us []wire.Update)
 }
@@ -92,10 +93,12 @@ type Config struct {
 	Handler Handler
 	// BatchMaxUpdates caps the messages per UpdateBatch delivery when
 	// Handler implements BatchHandler (ignored otherwise). Below 2 every
-	// UPDATE is delivered at once as a batch of one.
+	// UPDATE is delivered as a batch of one.
 	BatchMaxUpdates int
-	// BatchMaxDelay bounds how long a received UPDATE may be held while a
-	// batch accumulates.
+	// BatchMaxDelay is not read: no received UPDATE is held back waiting
+	// for others.
+	//
+	// Deprecated: setting it has no effect.
 	BatchMaxDelay time.Duration
 	// Name labels the session in errors and stats.
 	Name string
@@ -112,11 +115,6 @@ func DefaultCapabilities(localAS uint32) []wire.Capability {
 		wire.FourOctetASCapability(localAS),
 	}
 }
-
-// batchMaxPrefixes caps the prefixes accumulated across one batch (the
-// byte bound): a run of large UPDATEs flushes early so the decision
-// workers see bounded work items.
-const batchMaxPrefixes = 8192
 
 // Counters aggregates per-session message statistics. All fields are
 // atomics so they can be read while the session runs.
@@ -141,13 +139,16 @@ type event struct {
 // readSlab is one reader→loop hand-off: every message one buffered read
 // held, in arrival order. updates are the decoded UPDATEs; a non-UPDATE
 // message or a read error, when one came next, ends the slab as end.
-// Each reader owns two slabs, which the loop hands back through free
-// once it has fed them through the FSM, so at most two are in flight.
+// The read buffer bounds a slab: at most 2×wire.MaxMsgLen bytes buffered
+// by the read plus the one message that read completed. Each reader owns
+// two slabs, which the loop hands back through free once it has fed them
+// through the FSM, so at most two are in flight.
 type readSlab struct {
 	updates []wire.Update
 	end     event
 	hasEnd  bool
-	conn    net.Conn // the transport the slab was read from
+	readAt  time.Time // when the read completed: the peer was heard from then
+	conn    net.Conn  // the transport the slab was read from
 	free    chan *readSlab
 }
 
@@ -177,18 +178,11 @@ type Session struct {
 	conn         net.Conn
 	writer       *wire.Writer
 	sendHold     time.Time // the transport's write deadline; zero when none is set
-	hold         holdTimer
-	kaTimer      *time.Timer
-	retryTimer   *time.Timer
+	timers       timers
 	readerCancel chan struct{}
-
-	// Update batching (event-loop owned). bh is non-nil iff the handler
-	// takes batches; batch accumulates deliverable UPDATEs between flushes.
-	bh            BatchHandler
-	batch         []wire.Update
-	batchPrefixes int
-	flushTimer    *time.Timer
-	flushC        <-chan time.Time
+	bh           BatchHandler // the handler, when it takes batches
+	heard        time.Time    // when the peer was last heard from: the transport came up or a read completed
+	passed       int          // UPDATEs of that slab the FSM passed for delivery
 
 	Stats Counters
 
@@ -437,60 +431,34 @@ func (s *Session) loop() {
 			}
 		case <-s.wake:
 			s.writeOut(s.takeOut())
-		case <-s.flushC:
-			s.flushC = nil
-			s.flushBatch()
-		case <-s.hold.c:
-			if s.hold.fired(time.Now()) && s.handle(event{fsm: fsm.Event{Type: fsm.EvHoldTimerExpires}}) {
+		case <-s.timers.c:
+			if s.timers.fired(time.Now(), s.expire) {
 				return
 			}
 		}
 	}
 }
 
-// deliverUpdate hands one received UPDATE to the handler: directly, or
-// into the coalescing batch when the handler takes batches. The batch
-// flushes when it reaches BatchMaxUpdates messages or batchMaxPrefixes
-// prefixes; otherwise the flush timer (armed at first accumulation)
-// bounds how long the update is held to BatchMaxDelay.
-func (s *Session) deliverUpdate(u wire.Update) {
-	if s.bh == nil {
-		s.cfg.Handler.Update(s, u)
-		return
-	}
-	s.batch = append(s.batch, u)
-	s.batchPrefixes += len(u.NLRI) + len(u.Withdrawn)
-	if len(s.batch) >= s.cfg.BatchMaxUpdates || s.batchPrefixes >= batchMaxPrefixes {
-		s.flushBatch()
-		return
-	}
-	if s.flushC == nil {
-		if s.flushTimer == nil {
-			s.flushTimer = time.NewTimer(s.cfg.BatchMaxDelay)
-		} else {
-			s.flushTimer.Reset(s.cfg.BatchMaxDelay)
-		}
-		s.flushC = s.flushTimer.C
-	}
+// expire raises the FSM event of a deadline that has passed. It returns
+// true when the session is finished.
+func (s *Session) expire(k deadline) bool {
+	return s.handle(event{fsm: fsm.Event{Type: expiry[k]}})
 }
 
-// flushBatch delivers the pending update batch, if any. A stale timer
-// fire after a size-triggered flush is harmless: it finds an empty batch
-// (or flushes a younger one early), never delays or reorders delivery.
-func (s *Session) flushBatch() {
-	if s.flushTimer != nil {
-		s.flushTimer.Stop()
-	}
-	s.flushC = nil
-	if len(s.batch) == 0 {
+// deliver hands received UPDATEs to the handler: in batches of at most
+// BatchMaxUpdates when it takes batches, one Update call each otherwise.
+func (s *Session) deliver(us []wire.Update) {
+	if s.bh == nil {
+		for i := range us {
+			s.cfg.Handler.Update(s, us[i])
+		}
 		return
 	}
-	s.bh.UpdateBatch(s, s.batch)
-	// Drop the delivered updates' slices: a recycled slot must not keep
-	// the reader's chunks alive.
-	clear(s.batch)
-	s.batch = s.batch[:0]
-	s.batchPrefixes = 0
+	for n := max(s.cfg.BatchMaxUpdates, 1); len(us) > 0; {
+		k := min(n, len(us))
+		s.bh.UpdateBatch(s, us[:k])
+		us = us[k:]
+	}
 }
 
 // writeOut writes one chunk taken off the outbound queue as one flush,
@@ -631,25 +599,21 @@ func (s *Session) execute(a fsm.Action, ev event) bool {
 	case fsm.ActStartHold:
 		s.startHold()
 	case fsm.ActStopHold:
-		s.hold.stop()
+		s.timers.stop(holdDeadline)
 	case fsm.ActStartKeepalive:
 		s.startKeepalive()
 	case fsm.ActStopKeepalive:
-		s.stopTimer(&s.kaTimer)
+		s.timers.stop(keepaliveDeadline)
 	case fsm.ActStartConnectRetry:
-		s.startRetry()
+		s.timers.set(retryDeadline, time.Now(), s.cfg.ConnectRetry)
 	case fsm.ActStopConnectRetry:
-		s.stopTimer(&s.retryTimer)
+		s.timers.stop(retryDeadline)
 	case fsm.ActEstablished:
-		s.flushBatch()
 		s.mu.Lock()
 		s.established = true
 		s.mu.Unlock()
 		s.cfg.Handler.Established(s)
 	case fsm.ActStopped:
-		// Deliver updates received before the teardown so the handler sees
-		// them ahead of Down, exactly as without batching.
-		s.flushBatch()
 		s.mu.Lock()
 		s.established = false
 		err := s.lastErr
@@ -661,7 +625,6 @@ func (s *Session) execute(a fsm.Action, ev event) bool {
 	case fsm.ActDeliverRefresh:
 		if a.Refresh != nil {
 			if rh, ok := s.cfg.Handler.(RefreshHandler); ok {
-				s.flushBatch()
 				rh.Refresh(s, *a.Refresh)
 			}
 		}
@@ -670,7 +633,7 @@ func (s *Session) execute(a fsm.Action, ev event) bool {
 			s.Stats.UpdatesIn.Add(1)
 			s.Stats.PrefixesIn.Add(uint64(len(a.Update.NLRI)))
 			s.Stats.WithdrawsIn.Add(uint64(len(a.Update.Withdrawn)))
-			s.deliverUpdate(*a.Update)
+			s.passed++
 		}
 	}
 	return false
@@ -728,17 +691,13 @@ func (s *Session) dial() {
 	}()
 }
 
-// adoptConn installs a transport and spawns its reader.
+// adoptConn installs a transport and spawns its reader. The caller has
+// turned away a colliding one.
 func (s *Session) adoptConn(conn net.Conn) {
-	if s.conn != nil {
-		// Connection collision: keep the first transport, drop the new one.
-		conn.Close() //bgplint:allow(errdrop) reason=best-effort close of a rejected duplicate transport
-		return
-	}
 	s.mu.Lock()
 	s.conn = conn
 	s.mu.Unlock()
-	s.writer, s.sendHold = wire.NewWriter(conn), time.Time{}
+	s.writer, s.sendHold, s.heard = wire.NewWriter(conn), time.Time{}, time.Now()
 	cancel := make(chan struct{})
 	s.readerCancel = cancel
 	s.wg.Add(1)
@@ -766,6 +725,7 @@ func (s *Session) readLoop(conn net.Conn, cancel chan struct{}) {
 			return
 		}
 		err := s.fill(r, sl)
+		sl.readAt = time.Now()
 		select {
 		case s.events <- event{slab: sl}:
 		case <-cancel:
@@ -811,9 +771,12 @@ func (s *Session) fill(r *wire.Reader, sl *readSlab) error {
 }
 
 // handleSlab feeds a reader hand-off through the FSM one message at a
-// time, in arrival order, then gives the slab back to its reader.
-// Messages read from a transport the loop has since dropped are not fed.
+// time, in arrival order, delivers the UPDATEs the FSM passed, then
+// handles the message that ended the slab and gives the slab back to its
+// reader. Messages read from a transport the loop has since dropped are
+// not fed.
 func (s *Session) handleSlab(sl *readSlab) bool {
+	s.heard = sl.readAt
 	finished := false
 	for i := range sl.updates {
 		if finished || s.conn != sl.conn {
@@ -821,6 +784,11 @@ func (s *Session) handleSlab(sl *readSlab) bool {
 		}
 		finished = s.handle(event{fsm: fsm.Event{Type: fsm.EvMsgUpdate, Update: &sl.updates[i]}})
 	}
+	// The FSM passes an UPDATE only while Established, where an UPDATE
+	// does nothing else but move the hold deadline: the UPDATEs it passed
+	// are the slab's first ones, and no other callback came between them.
+	s.deliver(sl.updates[:s.passed])
+	s.passed = 0
 	if sl.hasEnd && !finished && s.conn == sl.conn {
 		finished = s.handle(sl.end)
 	}
@@ -870,60 +838,29 @@ func (s *Session) dropConn() {
 	s.writer = nil
 }
 
+// startHold moves the hold deadline to the hold time after the peer was
+// last heard from: every message of a slab moves it from the same
+// instant, so the clock is read once per read, not once per UPDATE.
 func (s *Session) startHold() {
-	if d := time.Duration(s.holdSeconds()) * time.Second; d != 0 {
-		s.hold.set(time.Now(), d)
-	}
-}
-
-func (s *Session) holdSeconds() uint16 {
-	if s.fsm.State() == fsm.OpenSent || s.fsm.State() == fsm.Connect || s.fsm.State() == fsm.Active {
-		// Pre-negotiation: use a generous 4-minute bound (RFC suggestion).
-		return 240
-	}
-	return s.fsm.HoldTime()
-}
-
-func (s *Session) startKeepalive() {
 	hold := s.fsm.HoldTime()
-	if hold == 0 {
-		return
+	if st := s.fsm.State(); st == fsm.OpenSent || st == fsm.Connect || st == fsm.Active {
+		hold = 240 // pre-negotiation: a generous 4-minute bound (RFC suggestion)
 	}
-	d := time.Duration(hold) * time.Second / 3
-	if d < time.Second {
-		d = time.Second
+	if hold != 0 {
+		s.timers.set(holdDeadline, s.heard, time.Duration(hold)*time.Second)
 	}
-	s.stopTimer(&s.kaTimer)
-	s.kaTimer = time.AfterFunc(d, func() {
-		select {
-		case s.events <- event{fsm: fsm.Event{Type: fsm.EvKeepaliveTimerExpires}}:
-		case <-s.done:
-		}
-	})
 }
 
-func (s *Session) startRetry() {
-	s.stopTimer(&s.retryTimer)
-	s.retryTimer = time.AfterFunc(s.cfg.ConnectRetry, func() {
-		select {
-		case s.events <- event{fsm: fsm.Event{Type: fsm.EvConnectRetryExpires}}:
-		case <-s.done:
-		}
-	})
-}
-
-func (s *Session) stopTimer(t **time.Timer) {
-	if *t != nil {
-		(*t).Stop()
-		*t = nil
+// startKeepalive sends the next KEEPALIVE a third of the negotiated hold
+// time from now, at least a second; none while the hold time is zero.
+func (s *Session) startKeepalive() {
+	if hold := s.fsm.HoldTime(); hold != 0 {
+		s.timers.set(keepaliveDeadline, time.Now(), max(time.Duration(hold)*time.Second/3, time.Second))
 	}
 }
 
 func (s *Session) cleanup() {
-	s.hold.stop()
-	s.stopTimer(&s.kaTimer)
-	s.stopTimer(&s.retryTimer)
-	s.stopTimer(&s.flushTimer)
+	s.timers.disarm()
 	s.dropConn()
 	s.closeDone()
 }

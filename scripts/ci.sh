@@ -82,7 +82,9 @@ step_stress() {
 # shapes; one iteration is their whole measurement. BenchmarkPatriciaApply
 # backs the FIB commit stage (ns per FIB op, startup_small-shaped batches).
 # The session receive benchmark backs the session.deliver stage (ns/msg,
-# allocs/msg, at 1 and 500 prefixes per UPDATE).
+# allocs/msg, at 1 and 500 prefixes per UPDATE) and, in its lone case,
+# conv_ms at the session layer (ns from a lone UPDATE's write to its
+# delivery).
 # BenchmarkProcessUpdate/policy=sliver/prefixes=500 backs the policy
 # stages: transit_large-shaped UPDATEs through an import and an export
 # route map to a receiver (ns/prefix, allocs per 500-prefix UPDATE), over
