@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bgpbench/internal/core"
@@ -85,19 +86,43 @@ func startTestbed(cfg testbedConfig) (*testbed, error) {
 }
 
 // connect brings one speaker's session to the router up and makes it
-// part of the testbed.
+// part of the testbed. The speaker's side of the session comes up
+// first; connect returns once the router has registered the peer too,
+// so nothing a caller sends next can reach the shards before the
+// peer's own registration, and a receiver joins by the live stream, not
+// by catch-up replay.
 func (tb *testbed) connect(as uint32, id netaddr.Addr, name string) (*speaker.Speaker, error) {
 	cfg := speaker.Config{AS: as, ID: id, Target: tb.router.ListenAddr(), Name: name, Reconnect: tb.cfg.Reconnect}
 	if tb.cfg.Inj != nil {
 		cfg.Dial = tb.cfg.Inj.Dial(name)
 	}
 	sp := speaker.New(cfg)
-	if err := sp.Connect(10 * time.Second); err != nil {
+	const timeout = 10 * time.Second
+	err := sp.Connect(timeout)
+	if err == nil {
+		registered := func() bool { return slices.Contains(tb.router.PeerIDs(), id) }
+		err = poll(registered, timeout, func() error { return fmt.Errorf("router has not registered %s (%s) after %v", name, id, timeout) })
+	}
+	if err != nil {
 		sp.Stop()
 		return nil, err
 	}
 	tb.speakers = append(tb.speakers, sp)
 	return sp, nil
+}
+
+// poll waits until cond holds, returning expired() once timeout passes
+// first.
+func poll(cond func() bool, timeout time.Duration, expired func() error) error {
+	hang := time.After(timeout) //bgplint:allow(detclock) reason=hang deadline over a real TCP transport; no settle decision depends on it
+	for !cond() {
+		select {
+		case <-hang:
+			return expired()
+		case <-time.After(100 * time.Microsecond): //bgplint:allow(detclock) reason=poll backoff while the awaited state is in flight, not modeled time
+		}
+	}
+	return nil
 }
 
 // stop tears the speakers down, then the router.
@@ -224,13 +249,11 @@ func (tb *testbed) settle(set []core.Route, id netaddr.Addr, wantRIB int, timeou
 		}
 		return tb.established()
 	}
-	hang := time.After(timeout) //bgplint:allow(detclock) reason=hang deadline over a real TCP transport; no settle decision depends on it
-	for !settled() {
-		select {
-		case <-hang:
-			return fmt.Errorf("markers of %s not installed after %v (tx=%d retries=%d)", set[0].Prefix, timeout, tb.router.Transactions(), tb.retries())
-		case <-time.After(100 * time.Microsecond): //bgplint:allow(detclock) reason=poll backoff while the markers are in flight, not modeled time
-		}
+	err := poll(settled, timeout, func() error {
+		return fmt.Errorf("markers of %s not installed after %v (tx=%d retries=%d)", set[0].Prefix, timeout, tb.router.Transactions(), tb.retries())
+	})
+	if err != nil {
+		return err
 	}
 	if got := tb.router.RIBLen(); got != wantRIB {
 		return fmt.Errorf("Loc-RIB holds %d routes at the markers of %s, want %d", got, set[0].Prefix, wantRIB)

@@ -94,12 +94,15 @@ func (o *AdjOut) PrefixesInto(loc *RIB, buf []netaddr.Prefix) []netaddr.Prefix {
 // logical Adj-RIB-Out: every entry whose originator, the peer of loc's
 // best route for the prefix, is some other peer.
 func (o *AdjOut) WalkMember(loc *RIB, member netaddr.Addr, fn func(netaddr.Prefix, *wire.PathAttrs) bool) {
-	for _, p := range o.PrefixesInto(loc, make([]netaddr.Prefix, 0, o.n)) {
-		id := loc.index[p]
+	ids := loc.sortedIDs(make([]uint32, 0, o.n), func(id uint32) bool {
+		_, ok := o.Lookup(id)
+		return ok
+	})
+	for _, id := range ids {
 		if loc.peers[loc.loc.s[id].peer].Addr == member {
 			continue
 		}
-		if !fn(p, o.col[id]) {
+		if !fn(loc.index.keys[id], o.col[id]) {
 			return
 		}
 	}

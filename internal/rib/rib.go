@@ -8,6 +8,7 @@ package rib
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -92,20 +93,21 @@ func (b *slab) release(i uint32) {
 // The Loc-RIB looks a prefix up once: index maps it to a dense id, and
 // the id indexes a slab of entries holding the best candidate inline,
 // which announce and withdraw then update in place. The same id indexes every
-// Adj-RIB-Out column kept beside this RIB (AdjOut). An id is freed when its
+// Adj-RIB-Out column kept beside this RIB (AdjOut), and the index's own
+// key column, which names the prefix of an id. An id is freed when its
 // prefix leaves the Loc-RIB and is reused by a later new prefix. Only a
 // prefix offered by more than one peer links its candidates, held in a
 // second, overflow slab. Peers are stored once, by index, so a candidate
-// costs an attrs pointer and two uint32s. There is no id-to-prefix array:
-// walks range over index.
+// costs an attrs pointer and two uint32s. Walks range over the index's
+// ids and sort them by prefix.
 type RIB struct {
 	peerIdx   map[netaddr.Addr]uint32 // registered peers
 	peers     []PeerInfo              // by index; freed indices hold the zero PeerInfo
 	freePeers []uint32                // indices of removed peers, all of whose routes are withdrawn
 
-	index map[netaddr.Prefix]uint32 // prefix -> id, for every prefix with a best route
-	loc   slab                      // Loc-RIB entries by id
-	over  slab                      // overflow candidates
+	index prefixIndex // prefix -> id, for every prefix with a best route
+	loc   slab        // Loc-RIB entries by id
+	over  slab        // overflow candidates
 
 	decisions uint64 // decision process invocations, for benchmarks
 
@@ -119,7 +121,7 @@ type RIB struct {
 func New() *RIB {
 	return &RIB{
 		peerIdx: make(map[netaddr.Addr]uint32),
-		index:   make(map[netaddr.Prefix]uint32),
+		index:   newPrefixIndex(rand.Uint64()),
 		loc:     slab{s: make([]slot, 1)},
 		over:    slab{s: make([]slot, 1)},
 	}
@@ -178,11 +180,11 @@ func (r *RIB) AnnounceHad(peer netaddr.Addr, prefix netaddr.Prefix, attrs *wire.
 		return Change{}, false, false
 	}
 	r.decisions++
-	id, ok := r.index[prefix]
+	id, at, ok := r.index.find(prefix)
 	if !ok {
 		e := slot{attrs: attrs, peer: pi}
 		id = r.loc.alloc(e)
-		r.index[prefix] = id
+		r.index.put(at, prefix, id)
 		return Change{Prefix: prefix, ID: id, New: r.cand(e)}, true, false
 	}
 	e := &r.loc.s[id]
@@ -226,7 +228,7 @@ func (r *RIB) WithdrawHad(peer netaddr.Addr, prefix netaddr.Prefix) (ch Change, 
 	if !ok {
 		return Change{}, false, false
 	}
-	id, ok := r.index[prefix]
+	id, at, ok := r.index.find(prefix)
 	if !ok {
 		return Change{}, false, false
 	}
@@ -237,7 +239,7 @@ func (r *RIB) WithdrawHad(peer netaddr.Addr, prefix netaddr.Prefix) (ch Change, 
 			return Change{}, false, false
 		}
 		r.decisions++
-		delete(r.index, prefix)
+		r.index.del(at)
 		r.loc.release(id)
 		return Change{Prefix: prefix, ID: id, Old: r.cand(old)}, true, true
 	}
@@ -369,7 +371,7 @@ func (r *RIB) Lookup(prefix netaddr.Prefix) (Candidate, bool) {
 // windows) re-resolve the id here each time: once its prefix leaves, an
 // id may be handed to another.
 func (r *RIB) Entry(prefix netaddr.Prefix) (uint32, Candidate, bool) {
-	id, ok := r.index[prefix]
+	id, _, ok := r.index.find(prefix)
 	if !ok {
 		return 0, Candidate{}, false
 	}
@@ -383,7 +385,7 @@ func (r *RIB) CandidateOf(peer netaddr.Addr, prefix netaddr.Prefix) (Candidate, 
 	if !ok {
 		return Candidate{}, false
 	}
-	id, ok := r.index[prefix]
+	id, _, ok := r.index.find(prefix)
 	if !ok {
 		return Candidate{}, false
 	}
@@ -411,19 +413,34 @@ func (r *RIB) LocPrefixesInto(buf []netaddr.Prefix) []netaddr.Prefix {
 // table walk and key snapshot of this package visits in, which is what
 // makes advertisement streams and digests deterministic.
 func (r *RIB) sortedPrefixes(buf []netaddr.Prefix, keep func(id uint32) bool) []netaddr.Prefix {
-	for p, id := range r.index {
-		if keep == nil || keep(id) {
-			buf = append(buf, p)
+	for _, s := range r.index.slots {
+		if id := uint32(s); s != 0 && (keep == nil || keep(id)) {
+			buf = append(buf, r.index.keys[id])
 		}
 	}
 	slices.SortFunc(buf, netaddr.Prefix.Compare)
 	return buf
 }
 
+// sortedIDs is sortedPrefixes for walks that read each entry: it
+// appends the admitted ids to buf and returns buf in their prefixes'
+// order, so a walk reads an entry by its id, not by probing for its
+// prefix again.
+func (r *RIB) sortedIDs(buf []uint32, keep func(id uint32) bool) []uint32 {
+	for _, s := range r.index.slots {
+		if id := uint32(s); s != 0 && (keep == nil || keep(id)) {
+			buf = append(buf, id)
+		}
+	}
+	keys := r.index.keys
+	slices.SortFunc(buf, func(a, b uint32) int { return keys[a].Compare(keys[b]) })
+	return buf
+}
+
 // Candidates returns all Adj-RIB-In routes for a prefix, in the order
 // their peers first offered them, for diagnostics and tests.
 func (r *RIB) Candidates(prefix netaddr.Prefix) []Candidate {
-	id, ok := r.index[prefix]
+	id, _, ok := r.index.find(prefix)
 	if !ok {
 		return nil
 	}
@@ -439,7 +456,7 @@ func (r *RIB) Candidates(prefix netaddr.Prefix) []Candidate {
 }
 
 // Len returns the number of prefixes with a best route in the Loc-RIB.
-func (r *RIB) Len() int { return len(r.index) }
+func (r *RIB) Len() int { return r.index.n }
 
 // Decisions returns the number of decision-process invocations.
 func (r *RIB) Decisions() uint64 { return r.decisions }
@@ -452,8 +469,8 @@ func (r *RIB) UnregisteredDrops() uint64 { return r.unregisteredDrops.Load() }
 // WalkLoc visits every Loc-RIB best route in prefix order until fn returns
 // false. The ordering makes Phase 2 advertisement streams deterministic.
 func (r *RIB) WalkLoc(fn func(netaddr.Prefix, Candidate) bool) {
-	for _, p := range r.sortedPrefixes(make([]netaddr.Prefix, 0, len(r.index)), nil) {
-		if !fn(p, r.cand(r.loc.s[r.index[p]])) {
+	for _, id := range r.sortedIDs(make([]uint32, 0, r.Len()), nil) {
+		if !fn(r.index.keys[id], r.cand(r.loc.s[id])) {
 			return
 		}
 	}

@@ -106,14 +106,17 @@ step_bench_smoke() {
 	$GO test -run='^$' -bench 'BenchmarkSessionReceive' -benchtime=1x ./internal/session/
 }
 
-# Coverage-guided fuzzing of the two table models, 10 s each: the
+# Coverage-guided fuzzing of the three table models, 10 s each: the
 # Loc-RIB against its naive reference (candidate sets, MED cycles, peer
-# removal, Loc-RIB id reuse) and an update group's Adj-RIB-Out column
+# removal, Loc-RIB id reuse), an update group's Adj-RIB-Out column
 # against one reference table per member (ids reused, members leaving and
-# rejoining). Go fuzzes one target per invocation.
+# rejoining), and the Loc-RIB's prefix index against a map (both
+# families, growth, backward-shift deletes). Go fuzzes one target per
+# invocation.
 step_fuzz() {
 	$GO test -run='^$' -fuzz='^FuzzLocRIBModel$' -fuzztime=10s ./internal/rib/
 	$GO test -run='^$' -fuzz='^FuzzAdjOutMemberViews$' -fuzztime=10s ./internal/rib/
+	$GO test -run='^$' -fuzz='^FuzzPrefixIndex$' -fuzztime=10s ./internal/rib/
 }
 
 # The examples that drive the router's tables end to end, each with its
